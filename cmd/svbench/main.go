@@ -1,9 +1,8 @@
 // Command svbench regenerates the paper's microbenchmark figures (1, 4, 5,
 // 7a, 7b, 8) plus the repo's own ablations (hazard-pointer cost, merge
 // threshold, memory footprint, B-link-tree comparator, search-finger locality
-// sweep, hot-path prefetch×branchless grid, chunk-fanout sweep, WAL
-// durability cost), printing each figure as an aligned table (or CSV) of
-// throughput numbers.
+// sweep, chunk-fanout sweep, WAL durability cost), printing each figure as an
+// aligned table (or CSV) of throughput numbers.
 //
 // Usage:
 //
@@ -42,7 +41,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("svbench", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "figure to run: 1, 4, 5, 7a, 7b, 8, hp, merge, mem, blt, finger, batch, snapshot, hotpath, fanout, wal, shard, all")
+		fig      = fs.String("fig", "all", "figure to run: 1, 4, 5, 7a, 7b, 8, hp, merge, mem, blt, finger, batch, snapshot, fanout, wal, shard, all")
 		scale    = fs.String("scale", "paper", "experiment scale: quick or paper")
 		duration = fs.Duration("duration", 0, "override per-trial duration")
 		reps     = fs.Int("reps", 0, "override repetitions per cell")
@@ -217,12 +216,6 @@ func run(args []string) error {
 				return err
 			}
 			emit(t)
-		case "hotpath":
-			t, err := bench.FigHotpath(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
 		case "fanout":
 			t, err := bench.FigFanout(s)
 			if err != nil {
@@ -252,7 +245,7 @@ func run(args []string) error {
 	}
 
 	if *fig == "all" {
-		for _, name := range []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem", "blt", "finger", "batch", "snapshot", "hotpath", "fanout", "wal", "shard"} {
+		for _, name := range []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem", "blt", "finger", "batch", "snapshot", "fanout", "wal", "shard"} {
 			if err := runFig(name); err != nil {
 				return err
 			}

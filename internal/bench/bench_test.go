@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -477,6 +478,27 @@ func TestAblationBLinkTreeQuick(t *testing.T) {
 			if v <= 0 {
 				t.Fatal("empty cell")
 			}
+		}
+	}
+}
+
+// TestFigFanoutQuick smoke-checks the fanout sweep's shape: one row per
+// T_D×T_I grid cell, each with a positive throughput.
+func TestFigFanoutQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	tb, err := FigFanout(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(fanoutTargets) * len(fanoutTargets)
+	if len(tb.XValues) != want {
+		t.Fatalf("fanout rows = %d, want %d", len(tb.XValues), want)
+	}
+	for i, label := range tb.XValues {
+		if v := tb.Cells[i][0]; v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("row %q reports no usable throughput: %v", label, v)
 		}
 	}
 }

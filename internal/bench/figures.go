@@ -457,3 +457,41 @@ func AblationBLinkTree(s Scale, mix workload.Mix) (*Table, error) {
 	}
 	return t, nil
 }
+
+// fanoutTargets is the chunk-fanout grid of FigFanout (the paper's Figure 7a
+// axis, cut down to the three interesting decades).
+var fanoutTargets = []int{8, 32, 128}
+
+// FigFanout sweeps the data- and index-chunk target sizes on the read-heavy
+// uniform mix. Larger chunks mean fewer pointer hops but longer intra-chunk
+// searches; the sweep shows where the trade-off peaks on the host it runs on,
+// complementing the paper's Figure 7a.
+func FigFanout(s Scale) (*Table, error) {
+	keyRange := Pow2(s.SensitivityRangeExp)
+	t := NewTable(
+		fmt.Sprintf("Chunk fanout sweep (ops/s), %d threads, 2^%d keys, read-heavy uniform",
+			s.SensitivityThreads, s.SensitivityRangeExp),
+		"T_D/T_I", []string{"ops/s"})
+	for _, td := range fanoutTargets {
+		for _, ti := range fanoutTargets {
+			v := TunedSV(fmt.Sprintf("SV-%d/%d", td, ti), td, ti, true, false)
+			var tput float64
+			for rep := 0; rep < s.Reps; rep++ {
+				cfg := TrialConfig{
+					Threads:  s.SensitivityThreads,
+					Duration: s.Duration,
+					KeyRange: keyRange,
+					Mix:      workload.MixReadHeavy,
+					Seed:     s.Seed + uint64(rep)*0x9e37,
+				}
+				res, err := RunTrial(v.New(keyRange), cfg)
+				if err != nil {
+					return nil, fmt.Errorf("T_D=%d/T_I=%d: %w", td, ti, err)
+				}
+				tput += res.Throughput
+			}
+			t.AddRow(fmt.Sprintf("%d/%d", td, ti), []float64{tput / float64(s.Reps)})
+		}
+	}
+	return t, nil
+}

@@ -9,32 +9,40 @@ import (
 // "finger search" skip lists: every operation that settles on a data-layer
 // node remembers that node together with the seqlock version it validated.
 // The next operation through the same context first asks whether its key
-// still falls inside the remembered node's span; if so, it skips the whole
-// top-down descent (descendToData) and resumes directly at the data layer —
-// O(1) instead of O(log_T n) for the spatially local access patterns the
-// paper's chunking already favours (cursors, range scans, Zipfian traffic,
-// ascending bulk ingest).
+// is owned by the remembered node or by one a few hops to its right; if so,
+// it skips the whole top-down descent (descendToData) and resumes directly
+// at the data layer — O(1) instead of O(log_T n) for the spatially local
+// access patterns the paper's chunking already favours (cursors, range
+// scans, Zipfian traffic, ascending bulk ingest, and the groups of one
+// ApplyBatch, which run left to right through the same context).
 //
 // Safety: the finger's authoritative content is (node, version); everything
 // else it carries (cached bounds, backoff counters) is heuristic. Nothing
 // about the node is trusted until the next operation (a) publishes a hazard
-// pointer for it and (b) revalidates the remembered version. The publication/validation order is
-// the same as everywhere else in the traversal: under Go's sequentially
-// consistent atomics, a successful validation proves no writer locked, froze,
-// or released the node between record and seek, and any writer that retires
-// the node afterwards must first lock it — changing the word forever, since
-// sequence numbers grow monotonically across node lifetimes — and will then
-// see the published hazard pointer during its reclamation scan. A validation
-// failure (or a frozen/orphan/locked word at record time, or an out-of-span
-// key) simply falls back to the full descent, so the finger can delay but
-// never change any operation's outcome.
+// pointer for it and (b) revalidates the remembered version. The
+// publication/validation order is the same as everywhere else in the
+// traversal: under Go's sequentially consistent atomics, a successful
+// validation proves no writer locked, froze, or released the node between
+// record and seek, and any writer that retires the node afterwards must
+// first lock it — changing the word forever, since sequence numbers grow
+// monotonically across node lifetimes — and will then see the published
+// hazard pointer during its reclamation scan. An unchanged word also proves
+// the node is still linked in the data layer (unlinking locks it), so its
+// validated content says where it sits: it owns [min(n), succ(n).min).
+// (c) The seek therefore proves min(n) ≤ k before moving, because a walk
+// only goes right and cannot correct a start right of k's owner. (d) From
+// there the walk is traverseRightN's ordinary hand-over-hand step under a
+// hop budget, with the same validations as a descent's final traversal. A
+// failure anywhere (or a frozen/locked word at record time, or an
+// out-of-reach key) simply falls back to the full descent, so the finger can
+// delay but never change any operation's outcome.
 //
 // Ownership is derived fresh at seek time from the validated chunk instead of
-// being cached: the data layer partitions the key space, so an unchanged node
-// n owns exactly [n.min, succ(n).min), and succ(n).min cannot decrease while
-// n's word is unchanged (linking or merging a successor requires locking n).
-// Keys in (n.max, succ(n).min) — the common case for ascending ingest — are
-// resolved with one extra validated read of the successor's minimum.
+// being cached: succ(n).min cannot decrease while n's word is unchanged
+// (linking or merging a successor requires locking n). Keys in
+// (n.max, succ(n).min) — the common case for ascending ingest — are resolved
+// by the walk's first validated read of the successor's minimum, even at
+// budget 0.
 
 // finger remembers where the previous operation through a context finished.
 //
@@ -83,24 +91,31 @@ func (f *finger[V]) punish() {
 type fingerMode int
 
 const (
-	// fingerPoint requires the key to lie strictly inside the remembered
-	// node's span: [min, succMin).
+	// fingerPoint accepts any key the remembered node owns, or that a node
+	// the bounded walk reaches from it owns.
 	fingerPoint fingerMode = iota
-	// fingerScan additionally accepts key == succMin: Ceiling walks right
-	// hand-over-hand anyway, so starting one node early is still O(1) and
-	// lets sequential scans cross chunk boundaries without a descent.
-	fingerScan
 	// fingerRemove excludes key == min: removing a node's minimum must take
 	// the full descent, because the key may own an index tower that only the
-	// top-down pass can find and unlink.
+	// top-down pass can find and unlink. It needs budget 0 — a walk could
+	// land on a node whose minimum is the key.
 	fingerRemove
 )
 
-// fingerSeek tries to resume at the remembered data node. On a hit the
-// caller holds a hazard pointer on the returned node and a validated
-// snapshot of its lock — exactly the postcondition of descendToData. On a
-// miss nothing is held and the caller performs the full descent.
-func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], seqlock.Version, bool) {
+// fingerSeek is the one resume primitive: it tries to settle on the data node
+// owning k starting from the remembered node n, instead of descending from
+// the top. The sequence is fixed: publish a hazard pointer for n, Validate
+// the remembered version, prove min(n) ≤ k from n's validated bounds, and
+// then — if k lies past max(n) — walk right under the hop budget
+// (traverseRightN). budget 0 still resolves keys in the gap before the
+// successor's minimum; the point ops use it, Ceiling uses 1 so an ascending
+// cursor hops chunk boundaries, and ApplyBatch uses batchHopBudget so the
+// next group resumes where the previous one finished.
+//
+// On a hit the caller holds a hazard pointer on the returned node and a
+// validated snapshot of its lock — exactly the postcondition of
+// descendToData. On a miss nothing is held and the caller performs the full
+// descent; fingerSeek is only called before an operation holds anything.
+func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode, budget int) (*node[V], seqlock.Version, bool) {
 	if m.cfg.DisableFinger {
 		return nil, 0, false
 	}
@@ -121,7 +136,7 @@ func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], 
 	// write: a node's minimum can only change under its lock, so if the
 	// bounds are stale the reject is merely conservative (a miss is always
 	// safe). Keys above hi are NOT rejected here — they may sit in the gap
-	// before the successor (the ascending-ingest case) and need the probe.
+	// before the successor or within the walk's reach.
 	if f.hasBounds && k < f.lo {
 		m.fingerMisses.add(ctx.stripe, 1)
 		return nil, 0, false
@@ -131,65 +146,55 @@ func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], 
 	// pointer became visible, so it is protected from here on.
 	ctx.take(n)
 	if chaos.Fail(chaos.CoreFinger) || !n.lock.Validate(f.ver) {
-		ctx.drop(n)
 		f.node = nil // stale: the node changed (or was merged away) behind us
-		f.punish()
-		m.fingerMisses.add(ctx.stripe, 1)
-		return nil, 0, false
+		return m.fingerMiss(ctx)
 	}
 	// n is unchanged since the finger was recorded, so its chunk reads below
 	// are consistent — and cached bounds, taken under the same word, are
 	// still exact and save the scan.
-	var minK, maxK int64
-	if f.hasBounds {
-		minK, maxK = f.lo, f.hi
-	} else {
-		var ok bool
-		minK, maxK, ok = n.data.Bounds()
+	if !f.hasBounds {
+		minK, maxK, ok := n.data.Bounds()
 		if !ok {
-			ctx.drop(n)
-			f.punish()
-			m.fingerMisses.add(ctx.stripe, 1)
-			return nil, 0, false
+			return m.fingerMiss(ctx)
 		}
 		f.lo, f.hi, f.hasBounds = minK, maxK, true
 	}
-	if k < minK || (mode == fingerRemove && k == minK) {
-		ctx.drop(n)
-		f.punish()
-		m.fingerMisses.add(ctx.stripe, 1)
-		return nil, 0, false
+	// The walk's entry precondition: a rightward walk can never correct a
+	// start that is already right of k's owner, and its stop test (k ≤ max)
+	// would happily return such a node.
+	if k < f.lo || (mode == fingerRemove && k == f.lo) {
+		return m.fingerMiss(ctx)
 	}
-	if k > maxK {
-		// k may still belong to n if it falls in the gap before the
-		// successor's minimum. One validated read of succ.min decides; the
-		// final revalidation of n proves succ was n's successor throughout.
-		// The successor follows the usual exposure rule: publish its hazard
-		// pointer, revalidate n (unlinking the successor would have locked
-		// n), and only then dereference it.
-		next := n.next.Load()
-		hit := false
-		if next != nil {
-			ctx.take(next)
-			if n.lock.Validate(f.ver) {
-				if nv, ok := next.lock.ReadVersion(); ok {
-					if nm, has := next.minKey(); has && next.lock.Validate(nv) && n.lock.Validate(f.ver) {
-						hit = k < nm || (mode == fingerScan && k == nm)
-					}
-				}
-			}
-			ctx.drop(next)
+	curr, ver := n, f.ver
+	if k > f.hi {
+		// Reach prediction: the walk pays only when k's owner is within the
+		// budget, and n's own key span is a free density estimate for the
+		// chunks around it. When k lies past max(n) by more than budget×
+		// that span — a uniform batch puts consecutive groups hundreds of
+		// chunks apart — only the gap before the successor is worth a look.
+		// Both subtractions are non-negative (lo ≤ hi < k), so the uint64
+		// arithmetic is exact.
+		if budget > 0 && (uint64(k)-uint64(f.hi))/(uint64(f.hi)-uint64(f.lo)+1) > uint64(budget) {
+			budget = 0
 		}
-		if !hit {
-			ctx.drop(n)
-			f.punish()
-			m.fingerMisses.add(ctx.stripe, 1)
-			return nil, 0, false
+		var ok bool
+		curr, ver, ok = m.traverseRightN(ctx, n, f.ver, k, modeRead, budget, true)
+		if !ok {
+			return m.fingerMiss(ctx)
 		}
 	}
 	f.penalty = 0
 	m.fingerHits.add(ctx.stripe, 1)
-	return n, f.ver, true
+	return curr, ver, true
+}
+
+// fingerMiss drops whatever a failed probe published, widens the backoff
+// window and counts the miss.
+func (m *Map[V]) fingerMiss(ctx *opCtx[V]) (*node[V], seqlock.Version, bool) {
+	ctx.dropAll()
+	ctx.fing.punish()
+	m.fingerMisses.add(ctx.stripe, 1)
+	return nil, 0, false
 }
 
 // recordFinger remembers the data node an operation finished on, for the

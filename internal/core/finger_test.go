@@ -45,9 +45,9 @@ func fingerOn(t *testing.T, m *Map[int64], ctx *opCtx[int64], k int64) (n *node[
 
 // seek probes the finger with a fresh backoff window and releases any hazard
 // pointer a hit leaves published, so tests can chain probes deterministically.
-func seek(m *Map[int64], ctx *opCtx[int64], k int64, mode fingerMode) bool {
+func seek(m *Map[int64], ctx *opCtx[int64], k int64, mode fingerMode, budget int) bool {
 	ctx.fing.backoff = 0
-	_, _, hit := m.fingerSeek(ctx, k, mode)
+	_, _, hit := m.fingerSeek(ctx, k, mode, budget)
 	ctx.dropAll()
 	return hit
 }
@@ -59,7 +59,7 @@ func TestFingerHitAfterLookup(t *testing.T) {
 
 	before := m.Stats()
 	_, _, _ = fingerOn(t, m, ctx, 100)
-	if !seek(m, ctx, 100, fingerPoint) {
+	if !seek(m, ctx, 100, fingerPoint, 0) {
 		t.Fatal("repeat probe of the same key missed")
 	}
 	if got := m.Stats(); got.FingerHits <= before.FingerHits {
@@ -91,7 +91,7 @@ func TestFingerSpanOwnership(t *testing.T) {
 	}
 
 	// Both stored extremes hit for point lookups.
-	if !seek(m, ctx, minK, fingerPoint) || !seek(m, ctx, maxK, fingerPoint) {
+	if !seek(m, ctx, minK, fingerPoint, 0) || !seek(m, ctx, maxK, fingerPoint, 0) {
 		t.Fatal("in-chunk keys missed")
 	}
 	// The gap before the successor's minimum belongs to this node: with
@@ -99,26 +99,39 @@ func TestFingerSpanOwnership(t *testing.T) {
 	if succMin != maxK+2 {
 		t.Fatalf("layout surprise: maxK=%d succMin=%d", maxK, succMin)
 	}
-	if !seek(m, ctx, maxK+1, fingerPoint) {
+	if !seek(m, ctx, maxK+1, fingerPoint, 0) {
 		t.Fatal("gap key before successor missed")
 	}
 	if v, found := m.lookupCtx(ctx, maxK+1); found {
 		t.Fatalf("gap key reported present: %v", v)
 	}
-	// The successor's minimum is out of span for point mode but in span for
-	// scan mode (Ceiling walks right from here).
-	if seek(m, ctx, succMin, fingerPoint) {
-		t.Fatal("successor's minimum hit in point mode")
+	// The successor's span is out of reach at budget 0 but one hop away at
+	// budget 1 (Ceiling's budget), where the seek lands on the successor.
+	if seek(m, ctx, succMin, fingerPoint, 0) || seek(m, ctx, succMin+1, fingerPoint, 0) {
+		t.Fatal("successor's span hit at budget 0")
 	}
-	if !seek(m, ctx, succMin, fingerScan) {
-		t.Fatal("successor's minimum missed in scan mode")
+	for _, k := range []int64{succMin, succMin + 1} {
+		ctx.fing.backoff = 0
+		got, _, hit := m.fingerSeek(ctx, k, fingerPoint, 1)
+		ctx.dropAll()
+		if !hit || got != succ {
+			t.Fatalf("seek(%d) at budget 1: hit=%t, landed on the successor=%t", k, hit, got == succ)
+		}
 	}
-	// Keys beyond the successor's minimum miss in every mode.
-	if seek(m, ctx, succMin+1, fingerScan) || seek(m, ctx, succMin+1, fingerPoint) {
-		t.Fatal("key beyond successor hit")
+	// Keys beyond the successor's successor need a second hop.
+	succ2 := succ.next.Load()
+	succ2Min, ok := succ2.minKey()
+	if !ok {
+		t.Fatal("second successor has no minimum")
+	}
+	if seek(m, ctx, succ2Min, fingerPoint, 1) {
+		t.Fatal("key two hops away hit at budget 1")
+	}
+	if !seek(m, ctx, succ2Min, fingerPoint, 2) {
+		t.Fatal("key two hops away missed at budget 2")
 	}
 	// Keys below the node's minimum miss (quick reject once bounds cached).
-	if seek(m, ctx, minK-1, fingerPoint) {
+	if seek(m, ctx, minK-1, fingerPoint, 0) {
 		t.Fatal("key below node minimum hit")
 	}
 }
@@ -134,15 +147,15 @@ func TestFingerRemoveModeExcludesMinimum(t *testing.T) {
 	}
 	// Removing a node's minimum may need to unlink an index tower, which
 	// only the full descent can find — remove mode must decline.
-	if seek(m, ctx, minK, fingerRemove) {
+	if seek(m, ctx, minK, fingerRemove, 0) {
 		t.Fatal("remove-mode probe hit on the node minimum")
 	}
-	if !seek(m, ctx, minK, fingerPoint) {
+	if !seek(m, ctx, minK, fingerPoint, 0) {
 		t.Fatal("point-mode probe missed the node minimum")
 	}
 	// Non-minimum keys are never indexed (indexed keys are data-node
 	// minima), so remove mode accepts them.
-	if !seek(m, ctx, maxK, fingerRemove) {
+	if !seek(m, ctx, maxK, fingerRemove, 0) {
 		t.Fatal("remove-mode probe missed a non-minimum key")
 	}
 }
@@ -162,7 +175,7 @@ func TestFingerInvalidatedByWrite(t *testing.T) {
 	if n.lock.Validate(ver) {
 		t.Fatal("write did not bump the node's word")
 	}
-	if seek(m, ctx, 500, fingerPoint) {
+	if seek(m, ctx, 500, fingerPoint, 0) {
 		t.Fatal("probe hit through a stale version")
 	}
 	if ctx.fing.node != nil {
@@ -172,7 +185,7 @@ func TestFingerInvalidatedByWrite(t *testing.T) {
 	if _, found := m.lookupCtx(ctx, 500); !found {
 		t.Fatal("lookup after invalidation lost the key")
 	}
-	if !seek(m, ctx, 500, fingerPoint) {
+	if !seek(m, ctx, 500, fingerPoint, 0) {
 		t.Fatal("finger did not recover after re-record")
 	}
 }
@@ -192,7 +205,7 @@ func TestFingerInvalidatedBySplit(t *testing.T) {
 	if m.Stats().Splits <= splitsBefore {
 		t.Fatalf("no split occurred (before=%d after=%d)", splitsBefore, m.Stats().Splits)
 	}
-	if seek(m, ctx, 500, fingerPoint) {
+	if seek(m, ctx, 500, fingerPoint, 0) {
 		t.Fatal("probe hit across a split through a stale version")
 	}
 	for d := int64(0); d <= 8; d++ {
@@ -213,7 +226,7 @@ func TestFingerInvalidatedByFreeze(t *testing.T) {
 	if !ok {
 		t.Fatal("TryFreeze on a quiescent node failed")
 	}
-	if seek(m, ctx, 100, fingerPoint) {
+	if seek(m, ctx, 100, fingerPoint, 0) {
 		n.lock.Thaw()
 		t.Fatal("probe hit on a frozen node through a stale version")
 	}
@@ -232,7 +245,7 @@ func TestFingerInvalidatedByFreeze(t *testing.T) {
 	if _, found := m.lookupCtx(ctx, 100); !found {
 		t.Fatal("lookup after thaw lost the key")
 	}
-	if !seek(m, ctx, 100, fingerPoint) {
+	if !seek(m, ctx, 100, fingerPoint, 0) {
 		t.Fatal("finger did not recover after thaw")
 	}
 }
@@ -281,7 +294,7 @@ func TestFingerFollowsOrphans(t *testing.T) {
 	if f.node == nil || !f.node.lock.IsOrphan() || !f.ver.Orphan() {
 		t.Fatal("lookup into an orphan did not record the orphan finger")
 	}
-	if !seek(m, ctx, orphanKey, fingerPoint) {
+	if !seek(m, ctx, orphanKey, fingerPoint, 0) {
 		t.Fatal("probe on a recorded orphan missed")
 	}
 }
@@ -304,7 +317,7 @@ func TestFingerSurvivesDrainAndMerge(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after drain", m.Len())
 	}
-	if seek(m, ctx, 200, fingerPoint) {
+	if seek(m, ctx, 200, fingerPoint, 0) {
 		t.Fatal("probe hit a retired node")
 	}
 	if _, found := m.lookupCtx(ctx, 200); found {
@@ -328,7 +341,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 	// Each wasted full probe doubles the skip window.
 	wantPenalty := uint8(0)
 	for round := 0; round < 3; round++ {
-		if _, _, hit := m.fingerSeek(ctx, far, fingerPoint); hit {
+		if _, _, hit := m.fingerSeek(ctx, far, fingerPoint, 0); hit {
 			t.Fatalf("round %d: far key hit", round)
 		}
 		wantPenalty++
@@ -339,7 +352,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 		// The window is spent declining without touching the node.
 		for f.backoff > 0 {
 			prev := f.backoff
-			if _, _, hit := m.fingerSeek(ctx, 100, fingerPoint); hit {
+			if _, _, hit := m.fingerSeek(ctx, 100, fingerPoint, 0); hit {
 				t.Fatal("probe during backoff window")
 			}
 			if f.backoff != prev-1 {
@@ -350,13 +363,13 @@ func TestFingerProbeBackoff(t *testing.T) {
 	// The cap bounds the window.
 	for round := 0; round < 10; round++ {
 		ctx.fing.backoff = 0
-		m.fingerSeek(ctx, far, fingerPoint)
+		m.fingerSeek(ctx, far, fingerPoint, 0)
 	}
 	if f.penalty != maxFingerPenalty {
 		t.Fatalf("penalty=%d, want cap %d", f.penalty, maxFingerPenalty)
 	}
 	// One hit restores full eagerness.
-	if !seek(m, ctx, 100, fingerPoint) {
+	if !seek(m, ctx, 100, fingerPoint, 0) {
 		t.Fatal("in-span probe missed after backoff")
 	}
 	if f.penalty != 0 || f.backoff != 0 {

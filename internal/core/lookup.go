@@ -31,7 +31,7 @@ func (m *Map[V]) lookupCtx(ctx *opCtx[V], k int64) (*V, bool) {
 // search finger short-circuits the descent when k falls inside the data node
 // the context's previous operation finished on.
 func (m *Map[V]) lookupOnce(ctx *opCtx[V], k int64) (v *V, found, ok bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint, 0)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {

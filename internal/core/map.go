@@ -85,7 +85,8 @@ type Config struct {
 	Seed uint64
 	// DisableFinger turns off the per-context search finger (the locality
 	// cache that lets an operation skip the top-down descent when its key
-	// falls inside the data node the previous operation finished on). The
+	// falls inside the data node the previous operation finished on, or a
+	// few nodes right of it — ApplyBatch groups resume this way too). The
 	// zero value keeps the finger enabled; disabling exists for ablation
 	// benchmarks and as an escape hatch.
 	DisableFinger bool
@@ -172,9 +173,9 @@ type Map[V any] struct {
 	fingerHits   lengthCounter
 	fingerMisses lengthCounter
 
-	// batchDescSaved counts ApplyBatch groups positioned by walking from the
-	// previous group's node instead of a fresh descent (striped for the same
-	// reason as the finger counters: one touch per group commit).
+	// batchDescSaved counts ApplyBatch groups positioned by the finger
+	// instead of a fresh descent (striped for the same reason as the finger
+	// counters: one touch per group commit).
 	batchDescSaved lengthCounter
 
 	// restartsByOp breaks stats.Restarts down by the operation kind that

@@ -33,7 +33,7 @@ func (m *Map[V]) floorCtx(ctx *opCtx[V], k int64) (int64, *V, bool) {
 }
 
 func (m *Map[V]) floorOnce(ctx *opCtx[V], k int64) (key int64, v *V, found, ok bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint, 0)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {
@@ -76,10 +76,10 @@ func (m *Map[V]) ceilingCtx(ctx *opCtx[V], k int64) (int64, *V, bool) {
 }
 
 func (m *Map[V]) ceilingOnce(ctx *opCtx[V], k int64) (key int64, v *V, found, ok bool) {
-	// fingerScan also accepts k == succ.min — the walk below crosses to the
-	// successor in one validated step, which is how a cursor iterating in
-	// ascending order hops chunk boundaries without a descent.
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerScan)
+	// A one-hop budget lets the finger cross to the successor in one
+	// validated step, which is how a cursor iterating in ascending order hops
+	// chunk boundaries without a descent.
+	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint, 1)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {

@@ -224,7 +224,7 @@ type StatsSnapshot struct {
 	FingerHits     int64 // operations that resumed from the search finger
 	FingerMisses   int64 // finger attempts that fell back to the full descent
 
-	BatchDescentsSaved int64 // batch groups positioned from the previous group's node, no descent
+	BatchDescentsSaved int64 // batch groups positioned from the search finger, no descent
 
 	SnapshotsPinned   int64 // snapshots acquired (monotonic)
 	SnapshotsReleased int64 // snapshots released via Close (monotonic; ≤ SnapshotsPinned)

@@ -34,7 +34,7 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 	// accepts only keys strictly above the remembered node's minimum, so a
 	// finger hit proves k has no index tower: the whole descent — including
 	// the per-layer search for an index entry equal to k — can be skipped.
-	if fcurr, fver, hit := m.fingerSeek(ctx, k, fingerRemove); hit {
+	if fcurr, fver, hit := m.fingerSeek(ctx, k, fingerRemove, 0); hit {
 		return m.removeFromDataLayer(ctx, fcurr, fver, k)
 	}
 

@@ -1,35 +1,9 @@
 package core
 
 import (
-	"unsafe"
-
 	"skipvector/internal/chaos"
-	"skipvector/internal/cpuhint"
 	"skipvector/internal/seqlock"
 )
-
-// prefetchNode hints the first two cache lines of n's struct — the seqlock
-// word, next pointer, and both chunks' slice headers — so the header reads
-// that follow (ReadVersion, size, the chunk's key-array address) hit cache.
-// It only does address arithmetic on the pointer value, never a dereference,
-// so it is safe on a speculative, not-yet-validated pointer: a prefetch of a
-// recycled node's memory is a wasted hint, not a fault or a data race (the
-// race detector does not observe the asm stub).
-func prefetchNode[V any](n *node[V]) {
-	cpuhint.Prefetch2(unsafe.Pointer(n), unsafe.Add(unsafe.Pointer(n), 64))
-}
-
-// prefetchKeys hints the key-array cache lines of n's active chunk. Unlike
-// prefetchNode this reads the chunk's slice header, so callers must already
-// hold a validated hazard pointer for n (the header write happened-before
-// the node's publication, which the validation ordered before these reads).
-func prefetchKeys[V any](n *node[V]) {
-	if n.isIndex() {
-		n.index.PrefetchKeys()
-	} else {
-		n.data.PrefetchKeys()
-	}
-}
 
 // traverseMode distinguishes read-only traversals from mutating ones:
 // Lookup only unlinks empty orphans, while Insert and Remove additionally
@@ -53,25 +27,27 @@ const (
 func (m *Map[V]) traverseRight(
 	ctx *opCtx[V], curr *node[V], ver seqlock.Version, k int64, mode traverseMode,
 ) (*node[V], seqlock.Version, bool) {
-	return m.traverseRightN(ctx, curr, ver, k, mode, -1)
+	return m.traverseRightN(ctx, curr, ver, k, mode, -1, false)
 }
 
 // traverseRightN is traverseRight with a hop budget: when budget ≥ 0, the
 // walk gives up (ok=false) instead of advancing past budget nodes. A bounded
-// walk is how ApplyBatch resumes the next group from the previous group's
-// node — adjacent groups usually sit zero or one chunk apart, and when they
-// don't, a full descent beats an O(n) rightward crawl. budget < 0 is the
-// ordinary unbounded traversal. Orphan merges do not count against the
-// budget: each merge removes a node, so they are globally bounded, and
-// charging them would make a maintenance backlog look like missing locality.
+// walk is how the search finger resumes from a remembered node (finger.go):
+// local accesses land zero or one chunk away, and when they don't, a full
+// descent beats an O(n) rightward crawl. budget < 0 is the ordinary unbounded
+// traversal. Orphan merges do not count against the budget: each merge
+// removes a node, so they are globally bounded, and charging them would make
+// a maintenance backlog look like missing locality. pastMax says the caller
+// has already proven k > max(curr) under ver, which skips the first stop
+// test — an O(T_D) scan on an unsorted data chunk.
 func (m *Map[V]) traverseRightN(
-	ctx *opCtx[V], curr *node[V], ver seqlock.Version, k int64, mode traverseMode, budget int,
+	ctx *opCtx[V], curr *node[V], ver seqlock.Version, k int64, mode traverseMode, budget int, pastMax bool,
 ) (*node[V], seqlock.Version, bool) {
-	for {
+	for ; ; pastMax = false {
 		// Stop when curr plausibly owns k: it has elements and its max key
 		// is ≥ k. The reads are speculative; if they lied, a later
 		// validation catches it.
-		if sz := curr.size(); sz != 0 {
+		if !pastMax && curr.size() != 0 {
 			if maxK, ok := curr.maxKey(); ok && k <= maxK {
 				return curr, ver, true
 			}
@@ -83,10 +59,6 @@ func (m *Map[V]) traverseRightN(
 			// have changed.
 			return nil, 0, false
 		}
-		// Overlap next's header miss with the hazard publish and the two
-		// validations below — by the time ReadVersion demands the line it is
-		// (ideally) already in flight. Safe pre-validation; see prefetchNode.
-		prefetchNode(next)
 		ctx.take(next)
 		// Validating curr proves next was still curr's successor when the
 		// hazard pointer above became visible, so next is protected.
@@ -246,16 +218,10 @@ func (m *Map[V]) descendToData(
 			// validation of curr.
 			return nil, 0, false
 		}
-		// Hint the child's header across exchangeDown's publish-and-validate
-		// dance, then — once the child is validated — the key lines its
-		// search will probe, so the three lines stream in parallel instead
-		// of serializing as demand misses.
-		prefetchNode(child)
 		curr, ver, ok = m.exchangeDown(ctx, curr, ver, child)
 		if !ok {
 			return nil, 0, false
 		}
-		prefetchKeys(curr)
 		depth++
 	}
 	n, v, ok := m.traverseRight(ctx, curr, ver, k, mode)

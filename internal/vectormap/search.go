@@ -1,142 +1,16 @@
 package vectormap
 
-import (
-	"math/bits"
-	"sync/atomic"
-	"unsafe"
-
-	"skipvector/internal/cpuhint"
-)
-
-// Branchless intra-chunk search. The sorted-chunk paths of indexOf, FindLE
-// and FindGE were three near-identical binary searches, each taking a hard-
-// to-predict branch per probe: on a uniformly distributed key every probe is
-// a coin flip, so a 64-slot chunk costs ~6 probes × ~50% mispredicts on the
-// hottest loop in the structure. This file replaces them with one shared
-// lower/upper-bound core in the conditional-move shape ("Bridging Cache-
-// Friendliness and Concurrency", and Khuong & Morin's branchless binary
-// search). Go's if-conversion pass declines to CMOV-ify conditional updates
-// of loop-carried values, so the select is spelled out arithmetically: each
-// probe's signed comparison becomes a bits.Sub64 borrow (an intrinsic — one
-// SUB/SBB pair) whose 0/1 result is negated into an all-ones/zero mask that
-// gates the base advance. The loop thus has no data-dependent branches at
-// all, only the trip count, which depends solely on the size.
-//
-// Bounds checks are hoisted out by construction rather than left to the
-// compiler: probes use raw offset arithmetic on the key array's base
-// pointer. The safety argument is exactly snapshotSize's: every probe index
-// stays in [0, s) and s is clamped to the capacity, so even a torn size or
-// concurrently shifting keys can only yield garbage *values* (discarded when
-// the seqlock validation fails), never an out-of-bounds access. The fuzz
-// suite (FuzzLowerBound) proves the core equivalent to the textbook binary
-// search on every non-decreasing array — duplicates included — and in-bounds
-// and terminating on arbitrary (torn, unsorted) array states.
-//
-// The old implementation is kept below (lowerBoundRef/upperBoundRef) as the
-// differential oracle and as the runtime fallback selected by
-// SetBranchlessSearch(false) for the svbench -fig hotpath ablation.
-
-// branchlessOff disables the CMOV core and routes sorted-chunk searches
-// through the reference binary search. Inverted so the zero value keeps the
-// fast path on. Ablation-only, like cpuhint.SetEnabled.
-var branchlessOff atomic.Bool
-
-// SetBranchlessSearch selects between the branchless core (true, the
-// default) and the reference binary search. It exists for the on/off
-// ablation; toggling mid-trial is safe but makes the numbers meaningless.
-func SetBranchlessSearch(on bool) { branchlessOff.Store(!on) }
-
-// BranchlessSearch reports which implementation sorted-chunk searches use.
-func BranchlessSearch() bool { return !branchlessOff.Load() }
-
-// cellSize is the stride of the probe pointer arithmetic. atomic.Int64 is
-// exactly its payload (the align64/noCopy markers are zero-sized), which the
-// compile-time assertion below pins.
-const cellSize = unsafe.Sizeof(atomic.Int64{})
-
-var _ [1]struct{} = [cellSize / 8]struct{}{} // cellSize == 8
-
-// signFlip maps int64 order onto uint64 order: a < b (signed) iff
-// uint64(a)^signFlip < uint64(b)^signFlip (unsigned), which lets a probe's
-// comparison be computed as the borrow of an unsigned subtract.
-const signFlip = 1 << 63
-
-// probeLT loads the key at cell index i and returns half when it is < k
-// (with k pre-biased by signFlip), else 0 — the branch-free advance amount.
-func probeLT(base unsafe.Pointer, i, half uintptr, kb uint64) uintptr {
-	probe := uint64((*atomic.Int64)(unsafe.Add(base, i*cellSize)).Load()) ^ signFlip
-	_, borrow := bits.Sub64(probe, kb, 0) // 1 iff probe < k
-	return half & -uintptr(borrow)
-}
-
-// probeLE is probeLT's ≤ sibling: half when the key at i is ≤ k, else 0.
-func probeLE(base unsafe.Pointer, i, half uintptr, kb uint64) uintptr {
-	probe := uint64((*atomic.Int64)(unsafe.Add(base, i*cellSize)).Load()) ^ signFlip
-	_, borrow := bits.Sub64(kb, probe, 0) // 1 iff k < probe
-	return half & (uintptr(borrow) - 1)
-}
+// The sorted-chunk searches of indexOf, FindLE and FindGE share these two
+// binary searches. Both run over a size the caller has already clamped
+// (snapshotSize), so a torn size or keys shifting under a concurrent writer
+// can only yield a wrong position — discarded when the seqlock validation
+// fails — never an out-of-bounds probe. FuzzLowerBound checks them against a
+// linear scan on sorted contents and for termination in bounds on arbitrary
+// ones.
 
 // lowerBound returns the first position in [0, s) whose key is ≥ k, or s
-// when no key qualifies, probing branchlessly (see the file comment). s must
-// already be clamped (snapshotSize); s ≤ 0 returns 0.
+// when no key qualifies.
 func (c *Chunk[P]) lowerBound(k int64, s int) int {
-	if s <= 0 {
-		return 0
-	}
-	if branchlessOff.Load() {
-		return c.lowerBoundRef(k, s)
-	}
-	base := unsafe.Pointer(unsafe.SliceData(c.keys))
-	kb := uint64(k) ^ signFlip
-	off, n := uintptr(0), uintptr(s)
-	// Two probes per iteration: the trip count is ⌈log2 s⌉ total, so the 2×
-	// unroll halves loop overhead for the 64-slot default without bloating
-	// the small-chunk case.
-	for n > 1 {
-		half := n >> 1
-		off += probeLT(base, off+half-1, half, kb)
-		n -= half
-		if n > 1 {
-			half = n >> 1
-			off += probeLT(base, off+half-1, half, kb)
-			n -= half
-		}
-	}
-	off += probeLT(base, off, 1, kb)
-	return int(off)
-}
-
-// upperBound returns the first position in [0, s) whose key is > k, or s
-// when no key qualifies. Same shape and safety argument as lowerBound; using
-// a distinct ≤ comparison instead of lowerBound(k+1) sidesteps the k ==
-// PosInf overflow.
-func (c *Chunk[P]) upperBound(k int64, s int) int {
-	if s <= 0 {
-		return 0
-	}
-	if branchlessOff.Load() {
-		return c.upperBoundRef(k, s)
-	}
-	base := unsafe.Pointer(unsafe.SliceData(c.keys))
-	kb := uint64(k) ^ signFlip
-	off, n := uintptr(0), uintptr(s)
-	for n > 1 {
-		half := n >> 1
-		off += probeLE(base, off+half-1, half, kb)
-		n -= half
-		if n > 1 {
-			half = n >> 1
-			off += probeLE(base, off+half-1, half, kb)
-			n -= half
-		}
-	}
-	off += probeLE(base, off, 1, kb)
-	return int(off)
-}
-
-// lowerBoundRef is the pre-existing binary search, kept verbatim as the
-// differential oracle and the SetBranchlessSearch(false) fallback.
-func (c *Chunk[P]) lowerBoundRef(k int64, s int) int {
 	lo, hi := 0, s
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -149,8 +23,10 @@ func (c *Chunk[P]) lowerBoundRef(k int64, s int) int {
 	return lo
 }
 
-// upperBoundRef is the reference upper bound (first key > k).
-func (c *Chunk[P]) upperBoundRef(k int64, s int) int {
+// upperBound returns the first position in [0, s) whose key is > k, or s
+// when no key qualifies. A distinct ≤ comparison instead of lowerBound(k+1)
+// sidesteps the k == PosInf overflow.
+func (c *Chunk[P]) upperBound(k int64, s int) int {
 	lo, hi := 0, s
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -161,31 +37,4 @@ func (c *Chunk[P]) upperBoundRef(k int64, s int) int {
 		}
 	}
 	return lo
-}
-
-// keyLine is how many keys share one 64-byte cache line.
-const keyLine = 64 / int(cellSize)
-
-// PrefetchKeys hints the cache lines a search of this chunk will touch
-// first: the first line (every linear scan, minKey, and the final probes of
-// a binary search), the middle line (a binary search's first probe), and the
-// last occupied line (maxKey, the traversal's stop test). Callers issue it
-// for the *next* node of a descent while the current node's protocol work is
-// still in flight; the reads here are the same speculative atomic-cell and
-// clamped-size loads every optimistic reader performs, so a concurrently
-// recycled chunk yields only useless (never unsafe) hints.
-func (c *Chunk[P]) PrefetchKeys() {
-	s := c.snapshotSize()
-	if s == 0 {
-		return
-	}
-	ks := c.keys
-	if s <= keyLine {
-		cpuhint.Prefetch(unsafe.Pointer(&ks[0]))
-		return
-	}
-	cpuhint.Prefetch2(unsafe.Pointer(&ks[0]), unsafe.Pointer(&ks[s>>1]))
-	if s > 2*keyLine {
-		cpuhint.Prefetch(unsafe.Pointer(&ks[s-1]))
-	}
 }

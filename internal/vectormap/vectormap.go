@@ -368,9 +368,6 @@ func (o SlotOutcome) String() string {
 // capacity and never stop the run. Caller must hold the owning node's write
 // lock; out must be at least as long as ops.
 func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
-	// The batch's slot searches walk the whole occupied prefix; pull its
-	// first lines in while the loop sets up.
-	c.PrefetchKeys()
 	for i := range ops {
 		op := &ops[i]
 		if op.Del {

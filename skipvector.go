@@ -107,7 +107,9 @@ func WithSeed(seed uint64) Option {
 // Zipfian traffic — the finger resolves them in O(1) at the data layer,
 // skipping the index descent entirely; validation against the chunk's
 // sequence lock falls back to the full descent whenever the chunk changed.
-// Disabling exists for ablation benchmarks and as an escape hatch.
+// ApplyBatch resumes each group from the finger too, so disabling it also
+// makes every group descend. Disabling exists for ablation benchmarks and as
+// an escape hatch.
 func WithSearchFinger(enabled bool) Option {
 	return func(c *core.Config) { c.DisableFinger = !enabled }
 }
