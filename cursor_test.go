@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"skipvector/internal/wal"
 )
 
 func TestCursorFullScan(t *testing.T) {
@@ -93,63 +95,118 @@ func TestCursorSkipsRemovedSeesAhead(t *testing.T) {
 	}
 }
 
+// cursorSources are the facades that hand out a Cursor, each built empty:
+// Map, ShardedMap over three splits, and DurableMap on MemFS. insert adds a
+// key to the facade's contents.
+var cursorSources = []struct {
+	name string
+	open func(t *testing.T) (insert func(k, v int64), cursor func(start int64) *Cursor[int64])
+}{
+	{"Map", func(t *testing.T) (func(k, v int64), func(int64) *Cursor[int64]) {
+		m := New[int64]()
+		return func(k, v int64) { m.Insert(k, v) }, m.Cursor
+	}},
+	{"ShardedMap", func(t *testing.T) (func(k, v int64), func(int64) *Cursor[int64]) {
+		m := NewSharded[int64]([]int64{-1000, 15, 1000})
+		return func(k, v int64) { m.Insert(k, v) }, m.Cursor
+	}},
+	{"DurableMap", func(t *testing.T) (func(k, v int64), func(int64) *Cursor[int64]) {
+		d, err := OpenDurable("/db", Int64Codec(), WithWALFS(wal.NewMemFS(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return func(k, v int64) {
+			if _, err := d.Insert(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}, d.Cursor
+	}},
+}
+
+// TestCursorEdgeKeys scans the two extreme legal keys on every cursor
+// source, then revives the cursor with SeekTo after an explicit Close.
 func TestCursorEdgeKeys(t *testing.T) {
-	m := New[int]()
-	m.Insert(MinKey+1, 1)
-	m.Insert(MaxKey-1, 2)
-	c := m.Cursor(MinKey + 1)
-	k1, _, ok1 := c.Next()
-	k2, _, ok2 := c.Next()
-	_, _, ok3 := c.Next()
-	if !ok1 || k1 != MinKey+1 || !ok2 || k2 != MaxKey-1 || ok3 {
-		t.Fatalf("edge scan = (%d,%t) (%d,%t) (%t)", k1, ok1, k2, ok2, ok3)
+	for _, src := range cursorSources {
+		t.Run(src.name, func(t *testing.T) {
+			insert, cursor := src.open(t)
+			insert(MinKey+1, 1)
+			insert(MaxKey-1, 2)
+			c := cursor(MinKey + 1)
+			k1, _, ok1 := c.Next()
+			k2, _, ok2 := c.Next()
+			_, _, ok3 := c.Next()
+			if !ok1 || k1 != MinKey+1 || !ok2 || k2 != MaxKey-1 || ok3 {
+				t.Fatalf("edge scan = (%d,%t) (%d,%t) (%t)", k1, ok1, k2, ok2, ok3)
+			}
+			c.SeekTo(MaxKey - 1)
+			if k, v, ok := c.Next(); !ok || k != MaxKey-1 || v != 2 {
+				t.Fatalf("SeekTo(MaxKey-1) then Next = %d,%d,%t", k, v, ok)
+			}
+			c.Close()
+			c.SeekTo(MinKey + 1)
+			if k, v, ok := c.Next(); !ok || k != MinKey+1 || v != 1 {
+				t.Fatalf("SeekTo after Close then Next = %d,%d,%t", k, v, ok)
+			}
+			c.Close()
+		})
 	}
 }
 
-// TestCursorSessionLifecycle verifies the cursor's pinned session: it is
-// acquired lazily on the first Next, released automatically when the scan
-// exhausts, released by Close mid-scan (idempotently), and re-acquired when
-// a closed cursor is revived with SeekTo.
+// TestCursorSessionLifecycle verifies the cursor's pinned session on every
+// cursor source: it is acquired lazily on the first Next, released
+// automatically when the scan exhausts, released by Close mid-scan
+// (idempotently), and re-acquired when a closed cursor is revived with
+// SeekTo.
 func TestCursorSessionLifecycle(t *testing.T) {
-	m := New[int]()
-	for k := int64(0); k < 30; k++ {
-		m.Insert(k, int(k))
-	}
-	c := m.Cursor(0)
-	if c.h != nil {
-		t.Fatal("session pinned before first Next")
-	}
-	if k, _, ok := c.Next(); !ok || k != 0 {
-		t.Fatalf("first = %d,%t", k, ok)
-	}
-	if c.h == nil {
-		t.Fatal("first Next did not pin a session")
-	}
-	// Close mid-scan releases the session; a second Close is a no-op.
-	c.Close()
-	c.Close()
-	if c.h != nil {
-		t.Fatal("Close left the session pinned")
-	}
-	if _, _, ok := c.Next(); ok {
-		t.Fatal("closed cursor yielded a key")
-	}
-	// SeekTo revives the cursor and Next re-pins a session.
-	c.SeekTo(10)
-	if k, _, ok := c.Next(); !ok || k != 10 {
-		t.Fatalf("after revive = %d,%t", k, ok)
-	}
-	if c.h == nil {
-		t.Fatal("revived cursor did not re-pin a session")
-	}
-	// Exhausting the scan auto-releases the session.
-	for {
-		if _, _, ok := c.Next(); !ok {
-			break
-		}
-	}
-	if c.h != nil {
-		t.Fatal("exhausted cursor kept its session")
+	for _, src := range cursorSources {
+		t.Run(src.name, func(t *testing.T) {
+			insert, cursor := src.open(t)
+			for k := int64(0); k < 30; k++ {
+				insert(k, k)
+			}
+			c := cursor(0)
+			if c.h != nil {
+				t.Fatal("session pinned before first Next")
+			}
+			if k, _, ok := c.Next(); !ok || k != 0 {
+				t.Fatalf("first = %d,%t", k, ok)
+			}
+			if c.h == nil {
+				t.Fatal("first Next did not pin a session")
+			}
+			// Close mid-scan releases the session; a second Close is a no-op.
+			c.Close()
+			c.Close()
+			if c.h != nil {
+				t.Fatal("Close left the session pinned")
+			}
+			if _, _, ok := c.Next(); ok {
+				t.Fatal("closed cursor yielded a key")
+			}
+			// SeekTo revives the cursor and Next re-pins a session.
+			c.SeekTo(10)
+			if k, _, ok := c.Next(); !ok || k != 10 {
+				t.Fatalf("after revive = %d,%t", k, ok)
+			}
+			if c.h == nil {
+				t.Fatal("revived cursor did not re-pin a session")
+			}
+			// Exhausting the scan auto-releases the session.
+			n := 1
+			for {
+				if _, _, ok := c.Next(); !ok {
+					break
+				}
+				n++
+			}
+			if n != 20 {
+				t.Fatalf("revived scan returned %d keys, want 20", n)
+			}
+			if c.h != nil {
+				t.Fatal("exhausted cursor kept its session")
+			}
+		})
 	}
 }
 

@@ -119,10 +119,13 @@ func OpenDurable[V any](dir string, codec Codec[V], opts ...DurableOption) (*Dur
 		return nil, err
 	}
 
+	mem := newMap(m)
 	d := &DurableMap[V]{
-		mem:   Map[V]{m: m},
-		log:   log,
-		codec: codec,
+		pointReads: mem.pointReads,
+		scans:      mem.scans,
+		mem:        mem,
+		log:        log,
+		codec:      codec,
 		info: RecoveryInfo{
 			CheckpointKeys:  len(rec.CheckpointKeys),
 			TailRecords:     tail,
@@ -163,13 +166,11 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 	// records reaches the same final state as applying them one by one.
 	const replayBatch = 4096
 	var ops []core.BatchOp[V]
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
+	flush := func() {
+		if len(ops) > 0 {
+			m.ApplyBatch(ops)
+			ops = ops[:0]
 		}
-		m.ApplyBatch(ops)
-		ops = ops[:0]
-		return nil
 	}
 	for _, r := range rec.Tail {
 		for _, op := range r.Ops {
@@ -183,15 +184,11 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 			}
 			ops = append(ops, cop)
 			if len(ops) >= replayBatch {
-				if err := flush(); err != nil {
-					return nil, 0, err
-				}
+				flush()
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, 0, err
-	}
+	flush()
 	return m, len(rec.Tail), nil
 }
 
@@ -204,7 +201,11 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 // it poisons itself, every subsequent write reports the failure, and no
 // acknowledgement is ever issued for a record that didn't reach the log.
 type DurableMap[V any] struct {
-	mem   Map[V]
+	// Reads are the in-memory map's; writes are DurableMap's own methods,
+	// which go through mem and then the log.
+	pointReads[V]
+	scans[V]
+	mem   *Map[V]
 	log   *wal.Log
 	codec Codec[V]
 	info  RecoveryInfo
@@ -307,41 +308,6 @@ func (d *DurableMap[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) (int,
 	return n, d.log.Commit()
 }
 
-// Lookup returns the value mapped to k.
-func (d *DurableMap[V]) Lookup(k int64) (V, bool) { return d.mem.Lookup(k) }
-
-// Contains reports whether k is in the map.
-func (d *DurableMap[V]) Contains(k int64) bool { return d.mem.Contains(k) }
-
-// Len returns the number of mappings.
-func (d *DurableMap[V]) Len() int { return d.mem.Len() }
-
-// RangeQuery is Map.RangeQuery (reads never touch the log).
-func (d *DurableMap[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
-	d.mem.RangeQuery(lo, hi, fn)
-}
-
-// Ascend is Map.Ascend.
-func (d *DurableMap[V]) Ascend(fn func(k int64, v V) bool) { d.mem.Ascend(fn) }
-
-// Floor is Map.Floor.
-func (d *DurableMap[V]) Floor(k int64) (int64, V, bool) { return d.mem.Floor(k) }
-
-// Ceiling is Map.Ceiling.
-func (d *DurableMap[V]) Ceiling(k int64) (int64, V, bool) { return d.mem.Ceiling(k) }
-
-// Min is Map.Min.
-func (d *DurableMap[V]) Min() (int64, V, bool) { return d.mem.Min() }
-
-// Max is Map.Max.
-func (d *DurableMap[V]) Max() (int64, V, bool) { return d.mem.Max() }
-
-// Keys is Map.Keys.
-func (d *DurableMap[V]) Keys() []int64 { return d.mem.Keys() }
-
-// Cursor is Map.Cursor: a lock-free forward iterator over the live map.
-func (d *DurableMap[V]) Cursor(start int64) *Cursor[V] { return d.mem.Cursor(start) }
-
 // Snapshot is Map.Snapshot: an O(1) immutable point-in-time view.
 func (d *DurableMap[V]) Snapshot() *Snapshot[V] { return d.mem.Snapshot() }
 
@@ -363,10 +329,14 @@ func (d *DurableMap[V]) Compact() error {
 
 	var snap *Snapshot[V]
 	cw, err := d.log.BeginCheckpoint(func() { snap = d.mem.Snapshot() })
+	if snap != nil {
+		// BeginCheckpoint can fail after the pin (rotation, creating the
+		// checkpoint file, its start frame): release on every path.
+		defer snap.Close()
+	}
 	if err != nil {
 		return err
 	}
-	defer snap.Close()
 
 	// Stream the snapshot in chunk-sized runs. The image layout matches the
 	// map's own chunking (vectormap.AppendImage), so recovery bulk-loads it

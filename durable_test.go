@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -265,5 +266,46 @@ func TestDurableOSFilesystem(t *testing.T) {
 	}
 	if info := d2.Recovery(); info.CheckpointKeys != 200 || info.TailRecords != 1 {
 		t.Fatalf("recovery info: %+v", info)
+	}
+}
+
+// failCkptFS is a MemFS whose Create fails for checkpoint files: Compact's
+// BeginCheckpoint pins its snapshot and then fails to create ckpt-*.wal.
+type failCkptFS struct{ *wal.MemFS }
+
+var errCkptCreate = errors.New("injected checkpoint create failure")
+
+func (fs failCkptFS) Create(name string) (wal.File, error) {
+	if strings.HasPrefix(path.Base(name), "ckpt-") {
+		return nil, errCkptCreate
+	}
+	return fs.MemFS.Create(name)
+}
+
+// TestDurableCompactCheckpointErrorReleasesSnapshot checks that a Compact
+// failing after the snapshot is pinned still releases it: a pin left behind
+// would hold every pre-image in the version store until a finalizer counted
+// it as a caller leak.
+func TestDurableCompactCheckpointErrorReleasesSnapshot(t *testing.T) {
+	d, err := OpenDurable[string]("/db", StringCodec(), WithWALFS(failCkptFS{wal.NewMemFS(6)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for k := int64(0); k < 50; k++ {
+		if _, err := d.Upsert(k, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Compact(); !errors.Is(err, errCkptCreate) {
+		t.Fatalf("Compact = %v, want the injected create failure", err)
+	}
+	if n := metricValue(t, d, "sv_snapshots_active"); n != 0 {
+		t.Fatalf("sv_snapshots_active = %v after a failed Compact, want 0", n)
+	}
+	pinned := metricValue(t, d, "sv_snapshots_pinned_total")
+	released := metricValue(t, d, "sv_snapshots_released_total")
+	if pinned == 0 || released != pinned {
+		t.Fatalf("snapshots pinned %v, released %v", pinned, released)
 	}
 }

@@ -6,39 +6,74 @@ import (
 	"testing"
 )
 
+// TestHandleBasics drives every point op through a Handle and a
+// ShardedHandle (four shards over [0, 40), so Floor and Ceiling walk across
+// empty shards and the batch spans two) and checks the handle and its map
+// see one structure.
 func TestHandleBasics(t *testing.T) {
-	m := New[string]()
-	h := m.NewHandle()
-	defer h.Close()
-	if !h.Insert(1, "one") {
-		t.Fatal("Insert failed")
+	type handle interface {
+		Insert(k int64, v string) bool
+		Upsert(k int64, v string) bool
+		Lookup(k int64) (string, bool)
+		Contains(k int64) bool
+		Remove(k int64) bool
+		Floor(k int64) (int64, string, bool)
+		Ceiling(k int64) (int64, string, bool)
+		ApplyBatch(ops []BatchOp[string]) []BatchResult
+		Close()
 	}
-	if h.Insert(1, "uno") {
-		t.Fatal("duplicate Insert succeeded")
+	type mapView interface {
+		Len() int
+		Lookup(k int64) (string, bool)
 	}
-	if v, ok := h.Lookup(1); !ok || v != "one" {
-		t.Fatalf("Lookup = %q,%t", v, ok)
-	}
-	if !h.Contains(1) || h.Contains(2) {
-		t.Fatal("Contains wrong")
-	}
-	h.Insert(5, "five")
-	h.Insert(9, "nine")
-	if k, v, ok := h.Floor(7); !ok || k != 5 || v != "five" {
-		t.Fatalf("Floor(7) = %d,%q,%t", k, v, ok)
-	}
-	if k, v, ok := h.Ceiling(7); !ok || k != 9 || v != "nine" {
-		t.Fatalf("Ceiling(7) = %d,%q,%t", k, v, ok)
-	}
-	if !h.Remove(1) || h.Remove(1) {
-		t.Fatal("Remove semantics wrong")
-	}
-	// Handle and map views are the same structure.
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if v, ok := m.Lookup(5); !ok || v != "five" {
-		t.Fatalf("map Lookup(5) = %q,%t", v, ok)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (handle, mapView)
+	}{
+		{"Handle", func(*testing.T) (handle, mapView) { m := New[string](); return m.NewHandle(), m }},
+		{"ShardedHandle", func(t *testing.T) (handle, mapView) { m := newShardedTest(t); return m.NewHandle(), m }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, m := tc.open(t)
+			defer h.Close()
+			if !h.Insert(5, "five") || h.Insert(5, "cinco") {
+				t.Fatal("Insert semantics wrong")
+			}
+			if v, ok := h.Lookup(5); !ok || v != "five" {
+				t.Fatalf("Lookup = %q,%t", v, ok)
+			}
+			if !h.Upsert(15, "fifteen") || h.Upsert(15, "fifteen'") {
+				t.Fatal("Upsert semantics wrong")
+			}
+			if !h.Contains(15) || h.Contains(6) {
+				t.Fatal("Contains wrong")
+			}
+			if k, v, ok := h.Floor(30); !ok || k != 15 || v != "fifteen'" {
+				t.Fatalf("Floor(30) = %d,%q,%t", k, v, ok)
+			}
+			if k, v, ok := h.Ceiling(6); !ok || k != 15 || v != "fifteen'" {
+				t.Fatalf("Ceiling(6) = %d,%q,%t", k, v, ok)
+			}
+			if _, _, ok := h.Floor(4); ok {
+				t.Fatal("Floor(4) found a key below the smallest")
+			}
+			res := h.ApplyBatch([]BatchOp[string]{{Key: 25, Val: "c"}, {Key: 35, Val: "d"}})
+			if len(res) != 2 || res[0].Outcome != BatchInserted || res[1].Outcome != BatchInserted {
+				t.Fatalf("ApplyBatch: %+v", res)
+			}
+			if !h.Remove(5) || h.Remove(5) {
+				t.Fatal("Remove semantics wrong")
+			}
+			// Handle and map views are the same structure.
+			if m.Len() != 3 {
+				t.Fatalf("Len = %d", m.Len())
+			}
+			if v, ok := m.Lookup(35); !ok || v != "d" {
+				t.Fatalf("map Lookup(35) = %q,%t", v, ok)
+			}
+			h.Close()
+			h.Close()
+		})
 	}
 }
 

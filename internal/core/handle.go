@@ -1,5 +1,28 @@
 package core
 
+// PointOps is the point-op contract every ordered-map backend serves, over
+// value pointers: *Map and *Handle here, and the sharded router and its
+// handle in internal/shard. The public facades write their by-value
+// conversion once against it, and the shard router routes each op to a
+// shard's PointOps.
+type PointOps[V any] interface {
+	Insert(k int64, v *V) bool
+	Upsert(k int64, v *V) bool
+	Remove(k int64) bool
+	Lookup(k int64) (*V, bool)
+	Contains(k int64) bool
+	Floor(k int64) (int64, *V, bool)
+	Ceiling(k int64) (int64, *V, bool)
+	First() (int64, *V, bool)
+	Last() (int64, *V, bool)
+	ApplyBatch(ops []BatchOp[V]) []BatchResult
+}
+
+var (
+	_ PointOps[int] = (*Map[int])(nil)
+	_ PointOps[int] = (*Handle[int])(nil)
+)
+
 // Handle pins an operation context — and with it the search finger — to one
 // caller. Map methods draw contexts from a shared LIFO pool, which keeps the
 // finger sticky for a single-threaded caller but shuffles contexts (and thus

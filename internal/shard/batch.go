@@ -10,40 +10,43 @@ import (
 // the owning shard's chunk-grouped ApplyBatch, returning outcomes
 // positionally aligned with the request slice.
 //
-// Partitioning is zero-copy when the ops arrive sorted by key (the common
+// A batch confined to one shard runs on the source's ops for that shard (a
+// Handle's pinned session, so it resumes from the search finger). Otherwise
+// partitioning is zero-copy when the ops arrive sorted by key (the common
 // case — callers that batch usually batch sorted runs): shard indices are
 // then non-decreasing, so each part is a contiguous subslice of ops and the
 // result subslices land directly in the right positions. Unsorted ops fall
 // back to bucketing with an index map and a result scatter.
 //
-// Parts run in parallel, one goroutine per non-resident part with the first
-// part applied inline, and ApplyBatch returns only after every part has
-// committed (the all-shards commit barrier). Same-key ops cannot span shards,
-// so per-key last-write-wins order is exactly the core map's. Atomicity is
-// per shard: each part linearizes as the owning shard's ApplyBatch does
-// (per-chunk groups), but a concurrent reader can observe a state where some
-// shards have committed their parts and others have not. Callers needing a
-// cross-shard atomic batch must align it to one shard.
+// Parts run in parallel on the shard maps, one goroutine per non-resident
+// part with the first part applied inline, and ApplyBatch returns only after
+// every part has committed (the all-shards commit barrier). Same-key ops
+// cannot span shards, so per-key last-write-wins order is exactly the core
+// map's. Atomicity is per shard: each part linearizes as the owning shard's
+// ApplyBatch does (per-chunk groups), but a concurrent reader can observe a
+// state where some shards have committed their parts and others have not.
+// Callers needing a cross-shard atomic batch must align it to one shard.
 //
-// The whole fan-out runs inside one writer-gate reference: a concurrent
-// migration drains it like any point write, and a batch touching a sealed
-// range parks until the successor table lands, then re-routes against it.
-func (s *Sharded[V]) ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult {
+// The whole batch runs inside one writer-gate reference, entered before the
+// table is loaded: a concurrent migration drains it like any point write,
+// and a batch touching a sealed range parks until the successor table lands,
+// then re-routes against it.
+func (r *router[V]) ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult {
 	if len(ops) == 0 {
 		return nil
 	}
 	stripe := stripeOf(ops[0].Key)
 	for {
-		gen := s.gate.enter(stripe)
-		t := s.tab.Load()
+		gen := r.sh.gate.enter(stripe)
+		t := r.src.current()
 		if t.seal != nil && batchSealed(t, ops) {
-			s.gate.exit(gen, stripe)
-			s.sealWaits.Add(1)
+			r.sh.gate.exit(gen, stripe)
+			r.sh.sealWaits.Add(1)
 			<-t.swapped
 			continue
 		}
-		res := s.applyBatchOn(t, ops)
-		s.gate.exit(gen, stripe)
+		res := r.applyBatchOn(t, ops)
+		r.sh.gate.exit(gen, stripe)
 		return res
 	}
 }
@@ -60,13 +63,7 @@ func batchSealed[V any](t *table[V], ops []core.BatchOp[V]) bool {
 
 // applyBatchOn routes and applies ops against a specific table. The caller
 // holds a gate reference and has verified no op is sealed.
-func (s *Sharded[V]) applyBatchOn(t *table[V], ops []core.BatchOp[V]) []core.BatchResult {
-	if len(t.maps) == 1 {
-		s.singleBatch.Add(1)
-		t.load[0].add(ops[0].Key, int64(len(ops)))
-		return t.maps[0].ApplyBatch(ops)
-	}
-
+func (r *router[V]) applyBatchOn(t *table[V], ops []core.BatchOp[V]) []core.BatchResult {
 	// One routing pass decides the partition shape: sorted input keeps shard
 	// indices non-decreasing and admits the contiguous fast path.
 	first := t.indexOf(ops[0].Key)
@@ -86,16 +83,16 @@ func (s *Sharded[V]) applyBatchOn(t *table[V], ops []core.BatchOp[V]) []core.Bat
 	}
 	if contiguous && spans == first {
 		// Every op routes to one shard: no fan-out, no barrier.
-		s.singleBatch.Add(1)
+		r.sh.singleBatch.Add(1)
 		t.load[first].add(ops[0].Key, int64(len(ops)))
-		return t.maps[first].ApplyBatch(ops)
+		return r.src.shard(t, first).ApplyBatch(ops)
 	}
 
 	results := make([]core.BatchResult, len(ops))
 	if contiguous {
-		s.applyContiguous(t, ops, results)
+		r.sh.applyContiguous(t, ops, results)
 	} else {
-		s.applyScattered(t, ops, results)
+		r.sh.applyScattered(t, ops, results)
 	}
 	return results
 }

@@ -16,16 +16,23 @@ import "skipvector/internal/core"
 // fingers intact; sessions over replaced shards are closed. Routing through
 // a retired table would silently write into a frozen, unreferenced source
 // map, so this check is what keeps handle writes linearizable across swaps.
+//
+// Its point ops are the router's, sourced from the rebound table and the
+// pinned sessions. Batches confined to one shard run on that shard's pinned
+// session (finger-resumable); batches that span shards fan out to the shard
+// maps, whose parallel parts cannot share one session anyway.
 type Handle[V any] struct {
+	router[V]
 	t      *table[V]
-	s      *Sharded[V]
 	shards []*core.Handle[V] // lazily opened, indexed by shard
 }
 
 // NewHandle opens a session against the current boundary table. Close it.
 func (s *Sharded[V]) NewHandle() *Handle[V] {
 	t := s.tab.Load()
-	return &Handle[V]{t: t, s: s, shards: make([]*core.Handle[V], len(t.maps))}
+	h := &Handle[V]{t: t, shards: make([]*core.Handle[V], len(t.maps))}
+	h.router = router[V]{sh: s, src: h}
+	return h
 }
 
 // Close releases every per-shard session. Idempotent.
@@ -38,13 +45,13 @@ func (h *Handle[V]) Close() {
 	}
 }
 
-// rebind refreshes the cached table if a rebalance swapped it, carrying the
+// current rebinds the cached table if a rebalance swapped it, carrying the
 // open per-shard sessions of every map that survives into the new table
 // (same *core.Map, possibly at a new index) and closing the sessions of maps
 // the migration retired. Swaps are rare, so the quadratic carry-over scan is
 // irrelevant; the common case is one pointer compare.
-func (h *Handle[V]) rebind() *table[V] {
-	cur := h.s.tab.Load()
+func (h *Handle[V]) current() *table[V] {
+	cur := h.sh.tab.Load()
 	if cur == h.t {
 		return cur
 	}
@@ -69,152 +76,12 @@ func (h *Handle[V]) rebind() *table[V] {
 	return cur
 }
 
-// at returns the pinned session for shard i, opening it on first use: a
+// shard returns the pinned session for shard i, opening it on first use: a
 // caller whose keys stay inside one shard never pays for contexts in the
 // others.
-func (h *Handle[V]) at(i int) *core.Handle[V] {
+func (h *Handle[V]) shard(t *table[V], i int) core.PointOps[V] {
 	if h.shards[i] == nil {
-		h.shards[i] = h.t.maps[i].NewHandle()
+		h.shards[i] = t.maps[i].NewHandle()
 	}
 	return h.shards[i]
-}
-
-// writeEnter is Sharded.writeEnter for handle writes: gate in, rebind, park
-// if k is sealed. The caller must exit the gate right after the shard write.
-func (h *Handle[V]) writeEnter(k int64) (i int, gen uint64, stripe uint32) {
-	stripe = stripeOf(k)
-	for {
-		gen = h.s.gate.enter(stripe)
-		t := h.rebind()
-		if t.sealCovers(k) {
-			h.s.gate.exit(gen, stripe)
-			h.s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		i = t.indexOf(k)
-		t.load[i].inc(k)
-		return
-	}
-}
-
-// Lookup is Sharded.Lookup through the pinned sessions.
-func (h *Handle[V]) Lookup(k int64) (*V, bool) {
-	t := h.rebind()
-	i := t.indexOf(k)
-	t.load[i].inc(k)
-	return h.at(i).Lookup(k)
-}
-
-// Contains is Sharded.Contains through the pinned sessions.
-func (h *Handle[V]) Contains(k int64) bool {
-	t := h.rebind()
-	i := t.indexOf(k)
-	t.load[i].inc(k)
-	return h.at(i).Contains(k)
-}
-
-// Insert is Sharded.Insert through the pinned sessions.
-func (h *Handle[V]) Insert(k int64, v *V) bool {
-	i, gen, stripe := h.writeEnter(k)
-	ok := h.at(i).Insert(k, v)
-	h.s.gate.exit(gen, stripe)
-	return ok
-}
-
-// Upsert is Sharded.Upsert through the pinned sessions.
-func (h *Handle[V]) Upsert(k int64, v *V) bool {
-	i, gen, stripe := h.writeEnter(k)
-	ok := h.at(i).Upsert(k, v)
-	h.s.gate.exit(gen, stripe)
-	return ok
-}
-
-// Remove is Sharded.Remove through the pinned sessions.
-func (h *Handle[V]) Remove(k int64) bool {
-	i, gen, stripe := h.writeEnter(k)
-	ok := h.at(i).Remove(k)
-	h.s.gate.exit(gen, stripe)
-	return ok
-}
-
-// ApplyBatch is Sharded.ApplyBatch with the single-shard fast path routed
-// through the pinned session (finger-resumable); batches that span shards
-// fall back to the map-level fan-out, whose parallel parts cannot share one
-// session anyway. Like every write it runs gated and parks on a sealed
-// range. The seal always covers whole shard intervals of the table carrying
-// it, so for a single-shard batch checking one key decides for all.
-func (h *Handle[V]) ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult {
-	if len(ops) == 0 {
-		return nil
-	}
-	stripe := stripeOf(ops[0].Key)
-	for {
-		gen := h.s.gate.enter(stripe)
-		t := h.rebind()
-		si := t.indexOf(ops[0].Key)
-		for i := 1; i < len(ops); i++ {
-			if t.indexOf(ops[i].Key) != si {
-				h.s.gate.exit(gen, stripe)
-				return h.s.ApplyBatch(ops)
-			}
-		}
-		if t.sealCovers(ops[0].Key) {
-			h.s.gate.exit(gen, stripe)
-			h.s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		h.s.singleBatch.Add(1)
-		t.load[si].add(ops[0].Key, int64(len(ops)))
-		res := h.at(si).ApplyBatch(ops)
-		h.s.gate.exit(gen, stripe)
-		return res
-	}
-}
-
-// Floor is Sharded.Floor through the pinned sessions.
-func (h *Handle[V]) Floor(k int64) (int64, *V, bool) {
-	t := h.rebind()
-	t.load[t.indexOf(k)].inc(k)
-	for i := t.indexOf(k); i >= 0; i-- {
-		if fk, v, ok := h.at(i).Floor(k); ok {
-			return fk, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// Ceiling is Sharded.Ceiling through the pinned sessions.
-func (h *Handle[V]) Ceiling(k int64) (int64, *V, bool) {
-	t := h.rebind()
-	t.load[t.indexOf(k)].inc(k)
-	for i := t.indexOf(k); i < len(t.maps); i++ {
-		if ck, v, ok := h.at(i).Ceiling(k); ok {
-			return ck, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// First returns the smallest key across all shards.
-func (h *Handle[V]) First() (int64, *V, bool) {
-	t := h.rebind()
-	for i := range t.maps {
-		if k, v, ok := h.at(i).First(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// Last returns the largest key across all shards.
-func (h *Handle[V]) Last() (int64, *V, bool) {
-	t := h.rebind()
-	for i := len(t.maps) - 1; i >= 0; i-- {
-		if k, v, ok := h.at(i).Last(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
 }

@@ -28,10 +28,8 @@ func (s *Sharded[V]) RangeQuery(lo, hi int64, fn func(k int64, v *V) bool) {
 	stopped := false
 	next := lo
 	for next <= hi && !stopped {
-		t := s.tab.Load()
-		i := t.indexOf(next)
+		t, i := s.read(next)
 		slo, shi := clamp(t, i, next, hi)
-		t.load[i].inc(next)
 		t.maps[i].RangeQuery(slo, shi, func(k int64, v *V) bool {
 			if !fn(k, v) {
 				stopped = true
@@ -60,18 +58,8 @@ func (s *Sharded[V]) RangeUpdate(lo, hi int64, fn func(k int64, v *V) *V) int {
 	count := 0
 	next := lo
 	for next <= hi {
-		stripe := stripeOf(next)
-		gen := s.gate.enter(stripe)
-		t := s.tab.Load()
-		if t.sealCovers(next) {
-			s.gate.exit(gen, stripe)
-			s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		i := t.indexOf(next)
+		t, i, gen, stripe := s.writeEnter(next)
 		slo, shi := clamp(t, i, next, hi)
-		t.load[i].inc(next)
 		count += t.maps[i].RangeUpdate(slo, shi, fn)
 		s.gate.exit(gen, stripe)
 		if i >= len(t.splits) {

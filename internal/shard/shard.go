@@ -141,6 +141,9 @@ func (t *table[V]) sealCovers(k int64) bool {
 // atomically-swapped boundary table. All methods are safe for concurrent use
 // by any number of goroutines.
 type Sharded[V any] struct {
+	// router serves the point ops from the live table and the shard maps.
+	router[V]
+
 	tab atomic.Pointer[table[V]]
 
 	// gate counts in-flight writes per table generation so a migration can
@@ -228,6 +231,7 @@ func New[V any](cfg core.Config, splits []int64) (*Sharded[V], error) {
 		}
 	}
 	s := &Sharded[V]{cfg: cfg}
+	s.router = router[V]{sh: s, src: s}
 	maps := make([]*core.Map[V], n)
 	for i := 0; i < n; i++ {
 		m, err := s.newShardMap()
@@ -269,30 +273,6 @@ func (s *Sharded[V]) publish(t *table[V]) {
 	}
 }
 
-// writeEnter begins a gated write to key k: it enters the writer gate, loads
-// the current table, and resolves k's shard, parking until the next swap if
-// k lies in a sealed (migrating) range. On return the caller holds a gate
-// reference — a concurrent migration's drain waits for it — and MUST call
-// s.gate.exit(gen, stripe) as soon as the shard-map write returns.
-func (s *Sharded[V]) writeEnter(k int64) (t *table[V], i int, gen uint64, stripe uint32) {
-	stripe = stripeOf(k)
-	for {
-		gen = s.gate.enter(stripe)
-		t = s.tab.Load()
-		if t.sealCovers(k) {
-			// Exit before parking: the migrator's drain must not wait on a
-			// writer that is itself waiting for the migrator's swap.
-			s.gate.exit(gen, stripe)
-			s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		i = t.indexOf(k)
-		t.load[i].inc(k)
-		return t, i, gen, stripe
-	}
-}
-
 // ShardCount returns the number of shards in the current table.
 func (s *Sharded[V]) ShardCount() int { return len(s.tab.Load().maps) }
 
@@ -304,45 +284,11 @@ func (s *Sharded[V]) Bounds() []int64 {
 // ShardFor returns the index of the shard owning k (diagnostics, tests).
 func (s *Sharded[V]) ShardFor(k int64) int { return s.tab.Load().indexOf(k) }
 
-// Insert adds k→v to the owning shard; false when k is already present.
-func (s *Sharded[V]) Insert(k int64, v *V) bool {
-	t, i, gen, stripe := s.writeEnter(k)
-	ok := t.maps[i].Insert(k, v)
-	s.gate.exit(gen, stripe)
-	return ok
-}
+// current and shard make Sharded the router's source: the live table and
+// its shard maps.
+func (s *Sharded[V]) current() *table[V] { return s.tab.Load() }
 
-// Upsert adds or replaces k→v; true when the key was newly inserted.
-func (s *Sharded[V]) Upsert(k int64, v *V) bool {
-	t, i, gen, stripe := s.writeEnter(k)
-	ok := t.maps[i].Upsert(k, v)
-	s.gate.exit(gen, stripe)
-	return ok
-}
-
-// Lookup returns the value mapped to k.
-func (s *Sharded[V]) Lookup(k int64) (*V, bool) {
-	t := s.tab.Load()
-	i := t.indexOf(k)
-	t.load[i].inc(k)
-	return t.maps[i].Lookup(k)
-}
-
-// Contains reports whether k is present.
-func (s *Sharded[V]) Contains(k int64) bool {
-	t := s.tab.Load()
-	i := t.indexOf(k)
-	t.load[i].inc(k)
-	return t.maps[i].Contains(k)
-}
-
-// Remove deletes the mapping for k, reporting whether it was present.
-func (s *Sharded[V]) Remove(k int64) bool {
-	t, i, gen, stripe := s.writeEnter(k)
-	ok := t.maps[i].Remove(k)
-	s.gate.exit(gen, stripe)
-	return ok
-}
+func (s *Sharded[V]) shard(t *table[V], i int) core.PointOps[V] { return t.maps[i] }
 
 // Len sums the shard lengths. Like the core map's Len it is linearizable
 // only at quiescence.
@@ -352,55 +298,6 @@ func (s *Sharded[V]) Len() int {
 		total += m.Len()
 	}
 	return total
-}
-
-// Floor returns the largest key ≤ k and its value, searching the owning
-// shard first and walking left across emptier shards as needed.
-func (s *Sharded[V]) Floor(k int64) (int64, *V, bool) {
-	t := s.tab.Load()
-	start := t.indexOf(k)
-	t.load[start].inc(k)
-	for i := start; i >= 0; i-- {
-		if fk, v, ok := t.maps[i].Floor(k); ok {
-			return fk, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// Ceiling returns the smallest key ≥ k and its value, walking right from the
-// owning shard.
-func (s *Sharded[V]) Ceiling(k int64) (int64, *V, bool) {
-	t := s.tab.Load()
-	start := t.indexOf(k)
-	t.load[start].inc(k)
-	for i := start; i < len(t.maps); i++ {
-		if ck, v, ok := t.maps[i].Ceiling(k); ok {
-			return ck, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// First returns the smallest key and its value across all shards.
-func (s *Sharded[V]) First() (int64, *V, bool) {
-	for _, m := range s.tab.Load().maps {
-		if k, v, ok := m.First(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// Last returns the largest key and its value across all shards.
-func (s *Sharded[V]) Last() (int64, *V, bool) {
-	maps := s.tab.Load().maps
-	for i := len(maps) - 1; i >= 0; i-- {
-		if k, v, ok := maps[i].Last(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
 }
 
 // Keys concatenates the shard key sets in key order. Quiescent use only.

@@ -16,8 +16,9 @@ import (
 // hazard domains), so write-heavy multi-core workloads scale with the shard
 // count instead of contending on one structure.
 //
-// The API mirrors Map with the same by-value semantics. The differences are
-// the consistency scope of multi-key operations and the missing Snapshot:
+// Its point, scan and cursor methods are Map's, with the same by-value
+// semantics. The differences are the consistency scope of multi-key
+// operations and the missing Snapshot:
 //
 //   - Point operations (Insert/Upsert/Lookup/Remove/Floor/Ceiling) are
 //     linearizable, exactly as on Map.
@@ -41,6 +42,7 @@ import (
 //
 // Construct with NewSharded. All methods are safe for concurrent use.
 type ShardedMap[V any] struct {
+	mapFacade[V]
 	s *shard.Sharded[V]
 }
 
@@ -71,7 +73,7 @@ func NewSharded[V any](splits []int64, opts ...Option) *ShardedMap[V] {
 	if err != nil {
 		panic(fmt.Sprintf("skipvector: %v", err))
 	}
-	return &ShardedMap[V]{s: s}
+	return &ShardedMap[V]{mapFacade: newMapFacade[V](s, func() session[V] { return s.NewHandle() }), s: s}
 }
 
 // ShardCount returns the number of shards.
@@ -83,187 +85,24 @@ func (m *ShardedMap[V]) ShardBounds() []int64 { return m.s.Bounds() }
 // ShardFor returns the index of the shard that owns k.
 func (m *ShardedMap[V]) ShardFor(k int64) int { return m.s.ShardFor(k) }
 
-// Insert adds the mapping k→v; false when k is already present.
-func (m *ShardedMap[V]) Insert(k int64, v V) bool { return m.s.Insert(k, &v) }
-
-// Upsert adds or replaces the mapping k→v; true when newly inserted.
-func (m *ShardedMap[V]) Upsert(k int64, v V) bool { return m.s.Upsert(k, &v) }
-
-// Lookup returns the value mapped to k.
-func (m *ShardedMap[V]) Lookup(k int64) (V, bool) {
-	if p, ok := m.s.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Contains reports whether k is in the map.
-func (m *ShardedMap[V]) Contains(k int64) bool { return m.s.Contains(k) }
-
-// Remove deletes the mapping for k, returning whether it was present.
-func (m *ShardedMap[V]) Remove(k int64) bool { return m.s.Remove(k) }
-
-// Len returns the number of mappings (linearizable only at quiescence).
-func (m *ShardedMap[V]) Len() int { return m.s.Len() }
-
-// ApplyBatch partitions ops at shard boundaries, applies each part with the
-// owning shard's chunk-grouped batch in parallel, waits for all parts to
-// commit, and returns one result per op in request order. Sorted ops
-// partition zero-copy; per-key last-write-wins order is preserved either
-// way (same-key ops cannot span shards). See the type comment for the
-// cross-shard atomicity caveat.
-func (m *ShardedMap[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
-	return m.s.ApplyBatch(toCoreOps(ops))
-}
-
-// RangeQuery calls fn for every mapping with lo ≤ key ≤ hi in ascending key
-// order, stitched shard by shard. Each per-shard segment is linearizable;
-// the whole window is not one atomic operation when it crosses a boundary.
-// fn returning false stops early; fn must not call back into the map.
-func (m *ShardedMap[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
-	m.s.RangeQuery(lo, hi, func(k int64, v *V) bool { return fn(k, *v) })
-}
-
-// RangeUpdate replaces the value of every mapping with lo ≤ key ≤ hi by fn's
-// return value and reports how many mappings were visited. Atomic per shard
-// segment, not across the whole window.
-func (m *ShardedMap[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) int {
-	return m.s.RangeUpdate(lo, hi, func(k int64, v *V) *V {
-		nv := fn(k, *v)
-		return &nv
-	})
-}
-
-// Ascend iterates all mappings in ascending key order, stitched shard by
-// shard. fn returning false stops early.
-func (m *ShardedMap[V]) Ascend(fn func(k int64, v V) bool) {
-	m.s.Ascend(func(k int64, v *V) bool { return fn(k, *v) })
-}
-
-// Floor returns the largest key ≤ k and its value (ok=false when none).
-func (m *ShardedMap[V]) Floor(k int64) (int64, V, bool) { return unwrap[V](m.s.Floor(k)) }
-
-// Ceiling returns the smallest key ≥ k and its value (ok=false when none).
-func (m *ShardedMap[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](m.s.Ceiling(k)) }
-
-// Min returns the smallest key and its value (ok=false when empty).
-func (m *ShardedMap[V]) Min() (int64, V, bool) { return unwrap[V](m.s.First()) }
-
-// Max returns the largest key and its value (ok=false when empty).
-func (m *ShardedMap[V]) Max() (int64, V, bool) { return unwrap[V](m.s.Last()) }
-
-// Keys returns every key in ascending order. Quiescent use only.
-func (m *ShardedMap[V]) Keys() []int64 { return m.s.Keys() }
-
-// Cursor returns a stateful forward iterator positioned before the first key
-// ≥ start. Like the Map cursor it holds no locks between Next calls — each
-// step is an independent Ceiling — so it crosses shard boundaries
-// transparently and can be long-lived under concurrent mutation. The cursor
-// pins one session per shard it touches; Close releases them (automatic when
-// the scan is exhausted).
-func (m *ShardedMap[V]) Cursor(start int64) *ShardedCursor[V] {
-	return &ShardedCursor[V]{m: m, next: start}
-}
-
-// ShardedCursor is a forward iterator over a ShardedMap. Not safe for
-// concurrent use (the underlying map remains fully concurrent).
-type ShardedCursor[V any] struct {
-	m    *ShardedMap[V]
-	h    *shard.Handle[V]
-	next int64
-	done bool
-}
-
-// Next advances to the next key ≥ the cursor position and returns it.
-// ok=false means the scan is exhausted.
-func (c *ShardedCursor[V]) Next() (int64, V, bool) {
-	if c.done {
-		var zero V
-		return 0, zero, false
-	}
-	if c.h == nil {
-		c.h = c.m.s.NewHandle()
-	}
-	k, v, ok := unwrap[V](c.h.Ceiling(c.next))
-	if !ok {
-		c.Close()
-		var zero V
-		return 0, zero, false
-	}
-	if k == MaxKey-1 {
-		c.Close()
-	} else {
-		c.next = k + 1
-	}
-	return k, v, true
-}
-
-// SeekTo repositions the cursor before the first key ≥ start.
-func (c *ShardedCursor[V]) SeekTo(start int64) {
-	c.next = start
-	c.done = false
-}
-
-// Close releases the cursor's pinned sessions. Idempotent; a closed cursor
-// can be revived with SeekTo followed by Next.
-func (c *ShardedCursor[V]) Close() {
-	if c.h != nil {
-		c.h.Close()
-		c.h = nil
-	}
-	c.done = true
-}
-
 // NewHandle pins a per-goroutine session: one core session per shard the
 // caller touches, opened lazily, so key locality becomes search-finger hits
 // inside the owning shard. Not safe for concurrent use; Close it.
 func (m *ShardedMap[V]) NewHandle() *ShardedHandle[V] {
-	return &ShardedHandle[V]{h: m.s.NewHandle()}
+	h := m.s.NewHandle()
+	return &ShardedHandle[V]{pointReads[V]{h}, pointWrites[V]{h}, h}
 }
 
 // ShardedHandle is a single-goroutine session over a ShardedMap. See
 // ShardedMap.NewHandle.
 type ShardedHandle[V any] struct {
+	pointReads[V]
+	pointWrites[V]
 	h *shard.Handle[V]
 }
 
 // Close returns the session's resources. Idempotent.
 func (h *ShardedHandle[V]) Close() { h.h.Close() }
-
-// Insert is ShardedMap.Insert through the pinned session.
-func (h *ShardedHandle[V]) Insert(k int64, v V) bool { return h.h.Insert(k, &v) }
-
-// Upsert is ShardedMap.Upsert through the pinned session.
-func (h *ShardedHandle[V]) Upsert(k int64, v V) bool { return h.h.Upsert(k, &v) }
-
-// Lookup is ShardedMap.Lookup through the pinned session.
-func (h *ShardedHandle[V]) Lookup(k int64) (V, bool) {
-	if p, ok := h.h.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Contains is ShardedMap.Contains through the pinned session.
-func (h *ShardedHandle[V]) Contains(k int64) bool { return h.h.Contains(k) }
-
-// Remove is ShardedMap.Remove through the pinned session.
-func (h *ShardedHandle[V]) Remove(k int64) bool { return h.h.Remove(k) }
-
-// ApplyBatch is ShardedMap.ApplyBatch through the pinned session: batches
-// confined to one shard run on that shard's pinned session (finger-resumable);
-// cross-shard batches fall back to the parallel fan-out.
-func (h *ShardedHandle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
-	return h.h.ApplyBatch(toCoreOps(ops))
-}
-
-// Floor is ShardedMap.Floor through the pinned session.
-func (h *ShardedHandle[V]) Floor(k int64) (int64, V, bool) { return unwrap[V](h.h.Floor(k)) }
-
-// Ceiling is ShardedMap.Ceiling through the pinned session.
-func (h *ShardedHandle[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](h.h.Ceiling(k)) }
 
 // ShardStats reports each shard's internal event counters, indexed by shard.
 func (m *ShardedMap[V]) ShardStats() []core.StatsSnapshot { return m.s.ShardStats() }

@@ -157,39 +157,6 @@ func TestShardedCursorAcrossBoundaries(t *testing.T) {
 	c.Close() // idempotent
 }
 
-func TestShardedHandleFacade(t *testing.T) {
-	m := newShardedTest(t)
-	h := m.NewHandle()
-	defer h.Close()
-	if !h.Insert(5, "five") || h.Insert(5, "dup") {
-		t.Fatal("handle Insert")
-	}
-	if h.Upsert(15, "fifteen") != true {
-		t.Fatal("handle Upsert")
-	}
-	if v, ok := h.Lookup(5); !ok || v != "five" {
-		t.Fatalf("handle Lookup = %q,%v", v, ok)
-	}
-	if !h.Contains(15) {
-		t.Fatal("handle Contains")
-	}
-	if k, _, ok := h.Floor(30); !ok || k != 15 {
-		t.Fatalf("handle Floor(30) = %d,%v", k, ok)
-	}
-	if k, _, ok := h.Ceiling(6); !ok || k != 15 {
-		t.Fatalf("handle Ceiling(6) = %d,%v", k, ok)
-	}
-	res := h.ApplyBatch([]BatchOp[string]{{Key: 25, Val: "c"}, {Key: 35, Val: "d"}})
-	if len(res) != 2 || res[0].Outcome != BatchInserted {
-		t.Fatalf("handle ApplyBatch: %+v", res)
-	}
-	if !h.Remove(5) {
-		t.Fatal("handle Remove")
-	}
-	h.Close()
-	h.Close()
-}
-
 // TestShardedWriteMetrics pins the exported exposition: the router gauge and
 // per-shard labeled series are present, with one TYPE header per family.
 func TestShardedWriteMetrics(t *testing.T) {

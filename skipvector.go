@@ -117,7 +117,12 @@ func WithSearchFinger(enabled bool) Option {
 // Map is a concurrent ordered map from int64 keys to values of type V.
 // The zero value is not usable; construct with New.
 type Map[V any] struct {
+	mapFacade[V]
 	m *core.Map[V]
+}
+
+func newMap[V any](m *core.Map[V]) *Map[V] {
+	return &Map[V]{mapFacade: newMapFacade[V](m, func() session[V] { return m.NewHandle() }), m: m}
 }
 
 // NewFromSorted bulk-loads a map from strictly ascending keys in O(n) with
@@ -139,7 +144,7 @@ func NewFromSorted[V any](keys []int64, vals []V, opts ...Option) (*Map[V], erro
 	if err != nil {
 		return nil, err
 	}
-	return &Map[V]{m: m}, nil
+	return newMap(m), nil
 }
 
 // New builds an empty map with the paper's default configuration, modified
@@ -154,19 +159,7 @@ func New[V any](opts ...Option) *Map[V] {
 	if err != nil {
 		panic(fmt.Sprintf("skipvector: %v", err))
 	}
-	return &Map[V]{m: m}
-}
-
-// Insert adds the mapping k→v. It returns false (leaving the map unchanged)
-// when k is already present.
-func (m *Map[V]) Insert(k int64, v V) bool {
-	return m.m.Insert(k, &v)
-}
-
-// Upsert adds or replaces the mapping k→v, returning true when the key was
-// newly inserted and false when an existing mapping was replaced.
-func (m *Map[V]) Upsert(k int64, v V) bool {
-	return m.m.Upsert(k, &v)
+	return newMap(m)
 }
 
 // BatchOp is one element of an ApplyBatch request: a put of Key→Val, or a
@@ -197,177 +190,6 @@ const (
 	BatchAbsent   = core.BatchAbsent
 	BatchExists   = core.BatchExists
 )
-
-// ApplyBatch applies ops and returns one result per op, in request order.
-// Ops commit in ascending key order (same-key ops in request order, last
-// write wins), and every run of keys owned by one data chunk commits
-// atomically under a single lock acquisition — on batches with spatial
-// locality this amortizes one traversal and one lock round trip over the
-// whole run, which is where the chunked layout beats issuing the ops one by
-// one. The batch as a whole is not atomic: concurrent readers may observe a
-// state between two chunk commits, but never a partially-applied chunk run.
-func (m *Map[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
-	return m.m.ApplyBatch(toCoreOps(ops))
-}
-
-func toCoreOps[V any](ops []BatchOp[V]) []core.BatchOp[V] {
-	cops := make([]core.BatchOp[V], len(ops))
-	for i := range ops {
-		op := &ops[i]
-		cops[i] = core.BatchOp[V]{Key: op.Key, Del: op.Delete, InsertOnly: op.InsertOnly}
-		if !op.Delete {
-			v := op.Val
-			cops[i].Val = &v
-		}
-	}
-	return cops
-}
-
-// Lookup returns the value mapped to k.
-func (m *Map[V]) Lookup(k int64) (V, bool) {
-	if p, ok := m.m.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Contains reports whether k is in the map.
-func (m *Map[V]) Contains(k int64) bool {
-	return m.m.Contains(k)
-}
-
-// Remove deletes the mapping for k, returning whether it was present.
-func (m *Map[V]) Remove(k int64) bool {
-	return m.m.Remove(k)
-}
-
-// Len returns the number of mappings.
-func (m *Map[V]) Len() int { return m.m.Len() }
-
-// RangeQuery calls fn for every mapping with lo ≤ key ≤ hi in ascending key
-// order, as one linearizable operation. fn returning false stops early.
-// fn must not call back into the map.
-func (m *Map[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
-	m.m.RangeQuery(lo, hi, func(k int64, v *V) bool {
-		return fn(k, *v)
-	})
-}
-
-// RangeUpdate replaces the value of every mapping with lo ≤ key ≤ hi by
-// fn's return value, as one serializable operation, and returns the number
-// of mappings updated. fn must not call back into the map.
-func (m *Map[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) int {
-	return m.m.RangeUpdate(lo, hi, func(k int64, v *V) *V {
-		nv := fn(k, *v)
-		return &nv
-	})
-}
-
-// Ascend iterates all mappings in ascending key order as one linearizable
-// snapshot-like pass. fn returning false stops early.
-func (m *Map[V]) Ascend(fn func(k int64, v V) bool) {
-	m.m.Ascend(func(k int64, v *V) bool { return fn(k, *v) })
-}
-
-// Floor returns the largest key ≤ k and its value (ok=false when none).
-func (m *Map[V]) Floor(k int64) (int64, V, bool) {
-	return unwrap[V](m.m.Floor(k))
-}
-
-// Ceiling returns the smallest key ≥ k and its value (ok=false when none).
-func (m *Map[V]) Ceiling(k int64) (int64, V, bool) {
-	return unwrap[V](m.m.Ceiling(k))
-}
-
-// Min returns the smallest key and its value (ok=false when empty).
-func (m *Map[V]) Min() (int64, V, bool) {
-	return unwrap[V](m.m.First())
-}
-
-// Max returns the largest key and its value (ok=false when empty).
-func (m *Map[V]) Max() (int64, V, bool) {
-	return unwrap[V](m.m.Last())
-}
-
-func unwrap[V any](k int64, p *V, ok bool) (int64, V, bool) {
-	if !ok || p == nil {
-		var zero V
-		return 0, zero, false
-	}
-	return k, *p, true
-}
-
-// Keys returns every key in ascending order. Intended for quiescent use
-// (tests, debugging); concurrent callers should prefer RangeQuery.
-func (m *Map[V]) Keys() []int64 { return m.m.Keys() }
-
-// Cursor returns a stateful forward iterator positioned before the first
-// key ≥ start. Unlike Ascend/RangeQuery — which hold node locks for the
-// duration of the scan — a cursor holds no locks between Next calls: each
-// step is an independent linearizable successor query (Ceiling), so it can
-// be long-lived and interleaved with arbitrary mutations. Keys inserted
-// behind the cursor are not revisited; keys inserted ahead are seen.
-//
-// The cursor pins a map session on first use, so its search finger tracks
-// the scan: after the first Next, each step resumes at the data chunk the
-// previous step finished on and walks at most one chunk right — no index
-// descent. The session is released automatically when the scan is exhausted;
-// call Close when abandoning a cursor mid-scan.
-func (m *Map[V]) Cursor(start int64) *Cursor[V] {
-	return &Cursor[V]{m: m, next: start}
-}
-
-// Cursor is a forward iterator over a Map. Not safe for concurrent use by
-// multiple goroutines (the underlying map remains fully concurrent).
-type Cursor[V any] struct {
-	m    *Map[V]
-	h    *core.Handle[V]
-	next int64
-	done bool
-}
-
-// Next advances to the next key ≥ the cursor position and returns it.
-// ok=false means the scan is exhausted.
-func (c *Cursor[V]) Next() (int64, V, bool) {
-	if c.done {
-		var zero V
-		return 0, zero, false
-	}
-	if c.h == nil {
-		c.h = c.m.m.NewHandle()
-	}
-	k, v, ok := unwrap[V](c.h.Ceiling(c.next))
-	if !ok {
-		c.Close()
-		var zero V
-		return 0, zero, false
-	}
-	if k == MaxKey-1 {
-		c.Close() // cannot advance past the largest legal key
-	} else {
-		c.next = k + 1
-	}
-	return k, v, true
-}
-
-// SeekTo repositions the cursor before the first key ≥ start.
-func (c *Cursor[V]) SeekTo(start int64) {
-	c.next = start
-	c.done = false
-}
-
-// Close releases the cursor's pinned session. It is called automatically
-// when the scan is exhausted and is idempotent; only a cursor abandoned
-// mid-scan needs an explicit Close. A closed cursor can be revived with
-// SeekTo followed by Next.
-func (c *Cursor[V]) Close() {
-	if c.h != nil {
-		c.h.Close()
-		c.h = nil
-	}
-	c.done = true
-}
 
 // Snapshot pins the map's state at a single linearization point and returns
 // an immutable read-only view of it. Acquisition is O(1) — nothing is copied
@@ -414,13 +236,7 @@ func (s *Snapshot[V]) Epoch() uint64 { return s.s.Epoch() }
 func (s *Snapshot[V]) Closed() bool { return s.s.Closed() }
 
 // Get returns the value bound to k at the snapshot's point in time.
-func (s *Snapshot[V]) Get(k int64) (V, bool) {
-	if p, ok := s.s.Get(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
+func (s *Snapshot[V]) Get(k int64) (V, bool) { return deref(s.s.Get(k)) }
 
 // Contains reports whether k was present at the snapshot's point in time.
 func (s *Snapshot[V]) Contains(k int64) bool { return s.s.Contains(k) }
@@ -428,12 +244,12 @@ func (s *Snapshot[V]) Contains(k int64) bool { return s.s.Contains(k) }
 // Range calls fn for every mapping with lo ≤ key ≤ hi at the snapshot's
 // point in time, in ascending key order. fn returning false stops early.
 func (s *Snapshot[V]) Range(lo, hi int64, fn func(k int64, v V) bool) {
-	s.s.Range(lo, hi, func(k int64, v *V) bool { return fn(k, *v) })
+	s.s.Range(lo, hi, byValue(fn))
 }
 
 // Ascend calls fn for every mapping in the snapshot in ascending key order.
 func (s *Snapshot[V]) Ascend(fn func(k int64, v V) bool) {
-	s.s.Ascend(func(k int64, v *V) bool { return fn(k, *v) })
+	s.s.Ascend(byValue(fn))
 }
 
 // Len counts the snapshot's mappings with a full scan.
@@ -469,52 +285,21 @@ func (c *SnapshotCursor[V]) Next() (int64, V, bool) {
 // A Handle is not safe for concurrent use; create one per goroutine. Close
 // it when the session ends to return its resources to the map.
 func (m *Map[V]) NewHandle() *Handle[V] {
-	return &Handle[V]{h: m.m.NewHandle()}
+	h := m.m.NewHandle()
+	return &Handle[V]{pointReads[V]{h}, pointWrites[V]{h}, h}
 }
 
 // Handle is a single-goroutine session over a Map with a pinned search
 // finger. See Map.NewHandle.
 type Handle[V any] struct {
+	pointReads[V]
+	pointWrites[V]
 	h *core.Handle[V]
 }
 
 // Close returns the session's resources to the map. Idempotent; the handle
 // must not be used afterwards.
 func (h *Handle[V]) Close() { h.h.Close() }
-
-// Insert is Map.Insert through the pinned session.
-func (h *Handle[V]) Insert(k int64, v V) bool { return h.h.Insert(k, &v) }
-
-// Upsert is Map.Upsert through the pinned session.
-func (h *Handle[V]) Upsert(k int64, v V) bool { return h.h.Upsert(k, &v) }
-
-// ApplyBatch is Map.ApplyBatch through the pinned session. Batches whose
-// first keys land where the previous operation finished resume from the
-// session's search finger, skipping even the one descent per chunk run.
-func (h *Handle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
-	return h.h.ApplyBatch(toCoreOps(ops))
-}
-
-// Lookup is Map.Lookup through the pinned session.
-func (h *Handle[V]) Lookup(k int64) (V, bool) {
-	if p, ok := h.h.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Contains is Map.Contains through the pinned session.
-func (h *Handle[V]) Contains(k int64) bool { return h.h.Contains(k) }
-
-// Remove is Map.Remove through the pinned session.
-func (h *Handle[V]) Remove(k int64) bool { return h.h.Remove(k) }
-
-// Floor is Map.Floor through the pinned session.
-func (h *Handle[V]) Floor(k int64) (int64, V, bool) { return unwrap[V](h.h.Floor(k)) }
-
-// Ceiling is Map.Ceiling through the pinned session.
-func (h *Handle[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](h.h.Ceiling(k)) }
 
 // Stats reports internal event counters (restarts overall and per op kind,
 // splits, merges, orphans, node allocation and reuse, hazard-domain
