@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -179,16 +178,14 @@ func keySet[V any](nodes []*node[V]) map[int64]struct{} {
 // Keys returns all user keys in ascending order. Quiescent use only (tests
 // and debugging); concurrent callers should use RangeQuery.
 func (m *Map[V]) Keys() []int64 {
-	var out []int64
+	// Node minima ascend along the layer, so the nodes' ordered contents
+	// concatenate into an ordered whole.
+	var out, keys []int64
+	var vals []*V
 	for n := m.heads[0]; n != nil; n = n.next.Load() {
-		n.data.ForEach(func(k int64, _ *V) bool {
-			if k != MinKey && k != MaxKey {
-				out = append(out, k)
-			}
-			return true
-		})
+		keys, vals = userPairs(n.data.AppendOrdered(keys[:0], vals[:0]))
+		out = append(out, keys...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -198,13 +195,12 @@ func (m *Map[V]) Dump() string {
 	for l := m.cfg.LayerCount - 1; l >= 0; l-- {
 		fmt.Fprintf(&b, "L%d:", l)
 		for n := m.heads[l]; n != nil; n = n.next.Load() {
-			keys := make([]int64, 0, 8)
+			var keys []int64
 			if n.isIndex() {
-				n.index.ForEach(func(k int64, _ *node[V]) bool { keys = append(keys, k); return true })
+				keys, _ = n.index.AppendOrdered(nil, nil)
 			} else {
-				n.data.ForEach(func(k int64, _ *V) bool { keys = append(keys, k); return true })
+				keys, _ = n.data.AppendOrdered(nil, nil)
 			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 			flag := ""
 			if n.lock.IsOrphan() {
 				flag = "*"

@@ -24,6 +24,7 @@ type opCtx[V any] struct {
 	stripe int
 	fing   finger[V]
 	batch  batchScratch[V] // reusable ApplyBatch buffers (contexts are pooled)
+	scan   rangeScratch[V] // reusable range-op buffers (rangeops.go)
 
 	// walUnit tags commit-hook calls with the batch commit unit this context
 	// is executing (0 outside ApplyBatchLogged); commitScratch is the

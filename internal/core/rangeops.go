@@ -41,6 +41,23 @@ func (m *Map[V]) Ascend(fn func(k int64, v *V) bool) {
 	m.RangeQuery(MinKey+1, MaxKey-1, fn)
 }
 
+// rangeScratch holds lockedRange's working buffers. Contexts are pooled,
+// so a range op allocates nothing for its window or its ordered node copies
+// once the buffers have grown; lockedRange clears them after release so a
+// pooled context pins no nodes or values.
+//
+// A window longer than maxPooledWindow nodes is not kept: a full-map
+// Ascend would otherwise leave every pooled context holding a buffer as
+// long as the data layer. Such an op locks at least that many nodes, so
+// allocating its window is a negligible share of its cost.
+type rangeScratch[V any] struct {
+	window []*node[V]
+	keys   []int64
+	vals   []*V
+}
+
+const maxPooledWindow = 1024
+
 // lockedRange implements both range operations. It descends optimistically
 // to the data node owning lo, upgrades to a write lock, and then extends the
 // locked window rightward hand-over-hand until the node minima exceed hi.
@@ -58,8 +75,9 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 	}
 	ctx := m.ctxs.get()
 	defer m.ctxs.put(ctx)
+	sc := &ctx.scan
 
-	var locked []*node[V]
+	window := sc.window[:0]
 	for {
 		curr, ver, hit := m.fingerSeek(ctx, lo, fingerPoint, 0)
 		if !hit {
@@ -78,27 +96,34 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 		// a locked node cannot be retired, and its next pointer cannot
 		// change, so the next node is reachable and stable once locked too.
 		ctx.dropAll()
-		locked = append(locked[:0], curr)
+		window = append(window, curr)
 		break
 	}
 
 	// Growth phase: extend the locked window right while nodes may hold
 	// keys ≤ hi. Node minima are strictly increasing along the layer, so
-	// the first locked node whose minimum exceeds hi ends the window.
+	// the first locked node whose minimum exceeds hi ends the window. Each
+	// node's minimum is read once, here: every node before the closing one
+	// is empty or starts at or below hi (the first owns lo ≤ hi).
+	closed := false // the last window node starts above hi
 	for {
-		last := locked[len(locked)-1]
-		next := last.next.Load()
+		next := window[len(window)-1].next.Load()
 		if next == nil {
 			break
 		}
 		next.lock.Acquire()
-		locked = append(locked, next)
+		window = append(window, next)
 		if minK, ok := next.minKey(); ok && minK > hi {
+			closed = true
 			break
 		}
 		if next.next.Load() == nil {
 			break // tail
 		}
+	}
+	inRange := len(window) // window[:inRange] may hold keys in [lo, hi]
+	if closed {
+		inRange--
 	}
 
 	// Apply phase: every element in [lo,hi] is covered by the window. The
@@ -108,7 +133,6 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 	// published under that single epoch, or none is and the whole range op
 	// is ordered before any snapshot pinned mid-window (snapshot.go). An
 	// unmodified node is released with its verEpoch untouched either way.
-	stopped := false
 	var cowEpoch uint64
 	cowDecided := false
 	logging := mutate && m.commitHook != nil
@@ -123,15 +147,19 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 			m.publishPreImage(n, cowEpoch)
 		}
 	}
-	for _, n := range locked {
-		if stopped {
-			break
-		}
+	keys, vals := sc.keys, sc.vals
+apply:
+	for _, n := range window[:inRange] {
 		noted := false
-		n.data.ForEachOrdered(func(k int64, v *V) bool {
-			if k < lo || k > hi {
-				return true
+		keys, vals = n.data.AppendOrdered(keys[:0], vals[:0])
+		for i, k := range keys {
+			if k < lo {
+				continue
 			}
+			if k > hi {
+				break
+			}
+			v := vals[i]
 			nv, cont := fn(k, v)
 			if mutate && nv != v {
 				if !noted {
@@ -144,11 +172,9 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 				}
 			}
 			if !cont {
-				stopped = true
-				return false
+				break apply
 			}
-			return true
-		})
+		}
 	}
 
 	// Commit hook: one CommitRange invocation with the whole update set,
@@ -168,17 +194,23 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 	// scan, say) resumes without a descent.
 	var fnode *node[V]
 	var fver seqlock.Version
-	for _, n := range locked {
-		minK, hasMin := n.minKey() // read under the lock, before release
+	for i, n := range window {
+		nonEmpty := n.data.Size() > 0 // read under the lock, before release
 		var ver seqlock.Version
 		if mutate {
 			ver = n.lock.Release()
 		} else {
 			ver = n.lock.Abort()
 		}
-		if hasMin && minK <= hi {
+		if i < inRange && nonEmpty {
 			fnode, fver = n, ver
 		}
 	}
 	m.recordFinger(ctx, fnode, fver)
+	clear(window)
+	if cap(window) > maxPooledWindow {
+		window = nil
+	}
+	clear(vals[:cap(vals)])
+	sc.window, sc.keys, sc.vals = window[:0], keys[:0], vals[:0]
 }

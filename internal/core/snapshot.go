@@ -360,15 +360,7 @@ func (m *Map[V]) publishPreImage(n *node[V], e uint64) {
 	if sz == 0 {
 		return
 	}
-	keys := make([]int64, 0, sz)
-	vals := make([]*V, 0, sz)
-	n.data.ForEachOrdered(func(k int64, v *V) bool {
-		if k != MinKey && k != MaxKey {
-			keys = append(keys, k)
-			vals = append(vals, v)
-		}
-		return true
-	})
+	keys, vals := userPairs(n.data.AppendOrdered(make([]int64, 0, sz), make([]*V, 0, sz)))
 	if len(keys) == 0 {
 		return
 	}
@@ -379,6 +371,22 @@ func (m *Map[V]) publishPreImage(n *node[V], e uint64) {
 		installed: old, superseded: e, keys: keys, vals: vals,
 	})
 	m.snapChainLen.Observe(int(e), int64(chain))
+}
+
+// userPairs drops the sentinel pairs (⊥ in the head, ⊤ in the tail) from an
+// ascending copy of a data chunk, where they can only sit at the ends. The
+// front is dropped by shifting, so the slices keep their base for reuse. On
+// a torn copy the result is garbage, as the copy was; the caller's seqlock
+// validation discards both.
+func userPairs[V any](keys []int64, vals []*V) ([]int64, []*V) {
+	if n := len(keys); n > 0 && keys[n-1] == MaxKey {
+		keys, vals = keys[:n-1], vals[:n-1]
+	}
+	if len(keys) > 0 && keys[0] == MinKey {
+		keys = append(keys[:0], keys[1:]...)
+		vals = append(vals[:0], vals[1:]...)
+	}
+	return keys, vals
 }
 
 // inheritVerEpoch stamps a freshly linked data node created from src's
@@ -572,13 +580,7 @@ func (w *snapWalker[V]) readNode() {
 		}
 		qual := n.verEpoch.Load() <= w.s.epoch
 		if qual {
-			n.data.ForEachOrdered(func(k int64, v *V) bool {
-				if k != MinKey && k != MaxKey {
-					w.liveK = append(w.liveK, k)
-					w.liveV = append(w.liveV, v)
-				}
-				return true
-			})
+			w.liveK, w.liveV = userPairs(n.data.AppendOrdered(w.liveK, w.liveV))
 		}
 		w.next = n.next.Load()
 		if n.lock.Validate(ver) {

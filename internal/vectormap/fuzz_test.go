@@ -7,8 +7,11 @@ import (
 )
 
 // FuzzChunkModel drives a chunk with an op byte-stream cross-checked
-// against a map model. Run with `go test -fuzz FuzzChunkModel` for
-// continuous fuzzing; `go test` replays the seed corpus.
+// against a map model. After every op, AppendOrdered must reproduce the
+// model in key order; on unsorted chunks, swap-with-last removes leave the
+// slots in arbitrary orders for it to sort. Run with
+// `go test -fuzz FuzzChunkModel` for continuous fuzzing; `go test` replays
+// the seed corpus.
 func FuzzChunkModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, true)
 	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false)
@@ -18,6 +21,8 @@ func FuzzChunkModel(f *testing.F) {
 		var c Chunk[int64]
 		c.Init(4, sorted) // capacity 8
 		model := map[int64]int64{}
+		var gotK, wantK []int64
+		var gotV []*int64
 		for _, b := range ops {
 			k := int64(b % 16)
 			switch (b >> 4) % 3 {
@@ -52,6 +57,20 @@ func FuzzChunkModel(f *testing.F) {
 			}
 			if c.Size() != len(model) {
 				t.Fatalf("size %d != model %d", c.Size(), len(model))
+			}
+			gotK, gotV = c.AppendOrdered(gotK[:0], gotV[:0])
+			wantK = wantK[:0]
+			for k := range model {
+				wantK = append(wantK, k)
+			}
+			sort.Slice(wantK, func(i, j int) bool { return wantK[i] < wantK[j] })
+			if len(gotK) != len(wantK) || len(gotV) != len(wantK) {
+				t.Fatalf("AppendOrdered = %v, model %v", gotK, wantK)
+			}
+			for i, k := range wantK {
+				if gotK[i] != k || *gotV[i] != model[k] {
+					t.Fatalf("AppendOrdered = %v, model %v", gotK, wantK)
+				}
 			}
 		}
 	})

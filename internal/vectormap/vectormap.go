@@ -28,7 +28,7 @@ package vectormap
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"skipvector/internal/telemetry"
@@ -277,13 +277,21 @@ func (c *Chunk[P]) Insert(k int64, v *P) bool {
 	if c.indexOf(k) >= 0 {
 		return false
 	}
+	c.insertAbsent(k, v)
+	return true
+}
+
+// insertAbsent adds k→v for a key the caller has already found absent, so
+// the new key costs one probe rather than two (an O(T) scan each on
+// unsorted chunks). Caller must hold the write lock.
+func (c *Chunk[P]) insertAbsent(k int64, v *P) {
 	s := int(c.size.Load())
 	if s == len(c.keys) {
 		panic("vectormap: Insert into full chunk")
 	}
 	if c.sorted {
 		// Find insertion point, shift right.
-		pos := sort.Search(s, func(i int) bool { return c.keys[i].Load() >= k })
+		pos := c.lowerBound(k, s)
 		mInsertShift.Observe(pos, int64(s-pos))
 		for i := s; i > pos; i-- {
 			c.keys[i].Store(c.keys[i-1].Load())
@@ -296,7 +304,6 @@ func (c *Chunk[P]) Insert(k int64, v *P) bool {
 		c.vals[s].Store(v)
 	}
 	c.size.Store(int32(s + 1))
-	return true
 }
 
 // Set updates the payload of an existing key, returning false if absent.
@@ -390,9 +397,7 @@ func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
 		if c.Full() {
 			return i
 		}
-		if !c.Insert(op.Key, op.Val) {
-			panic("vectormap: ApplyOps insert failed after absence check")
-		}
+		c.insertAbsent(op.Key, op.Val)
 		out[i] = SlotInserted
 	}
 	return len(ops)
@@ -432,7 +437,7 @@ func (c *Chunk[P]) MoveGreaterTo(k int64, dst *Chunk[P]) {
 	}
 	s := int(c.size.Load())
 	if c.sorted {
-		pos := sort.Search(s, func(i int) bool { return c.keys[i].Load() > k })
+		pos := c.upperBound(k, s)
 		n := 0
 		for i := pos; i < s; i++ {
 			dst.keys[n].Store(c.keys[i].Load())
@@ -466,6 +471,10 @@ func (c *Chunk[P]) MoveGreaterTo(k int64, dst *Chunk[P]) {
 	c.size.Store(int32(w))
 }
 
+// splitBuf is the largest chunk capacity whose split orders its copy on the
+// stack: 2×T_D at the default T_D = 32.
+const splitBuf = 64
+
 // SplitUpperHalfTo moves the largest ⌈size/2⌉ elements into dst (which must
 // be empty) and returns the minimum key of dst. It is the capacity split
 // applied when an Insert finds a full chunk. Caller must hold write locks on
@@ -488,15 +497,15 @@ func (c *Chunk[P]) SplitUpperHalfTo(dst *Chunk[P]) int64 {
 		c.size.Store(int32(keep))
 		return dst.keys[0].Load()
 	}
-	// Unsorted: select the median via an explicit copy + sort of keys.
-	// Splits are rare (amortized across T inserts), so O(T log T) here is
-	// acceptable and keeps the hot paths branch-light.
-	tmp := make([]int64, s)
-	for i := 0; i < s; i++ {
-		tmp[i] = c.keys[i].Load()
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	pivot := tmp[s/2] // elements >= pivot move (upper half)
+	// Unsorted: take the median of an ordered copy, which stays on the
+	// stack up to splitBuf slots (the default capacity), so the split
+	// allocates nothing. The partition below keeps slot order, so an
+	// ascending run — an append-heavy right edge — stays ascending in both
+	// halves, and ordering either half again stays linear.
+	var kb [splitBuf]int64
+	var vb [splitBuf]*P
+	keys, _ := c.AppendOrdered(kb[:0], vb[:0])
+	pivot := keys[s/2] // elements >= pivot move (upper half)
 	n, w := 0, 0
 	for i := 0; i < s; i++ {
 		kk := c.keys[i].Load()
@@ -530,16 +539,10 @@ func (c *Chunk[P]) AbsorbFrom(src *Chunk[P]) {
 	}
 	if c.sorted && !src.sorted {
 		// Normalize: absorb in ascending key order.
-		idx := make([]int, ss)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			return src.keys[idx[a]].Load() < src.keys[idx[b]].Load()
-		})
-		for n, i := range idx {
-			c.keys[cs+n].Store(src.keys[i].Load())
-			c.vals[cs+n].Store(src.vals[i].Load())
+		keys, vals := src.AppendOrdered(nil, nil)
+		for i, k := range keys {
+			c.keys[cs+i].Store(k)
+			c.vals[cs+i].Store(vals[i])
 		}
 	} else {
 		for i := 0; i < ss; i++ {
@@ -566,31 +569,30 @@ func (c *Chunk[P]) ForEach(fn func(k int64, v *P) bool) {
 	}
 }
 
-// ForEachOrdered calls fn in ascending key order regardless of chunk policy.
-// Unsorted chunks pay an O(T log T) index sort; it is used by range
-// operations, which hold the node lock.
-func (c *Chunk[P]) ForEachOrdered(fn func(k int64, v *P) bool) {
+// AppendOrdered appends the chunk's pairs to keys and vals in ascending key
+// order and returns the extended slices. It reads each slot once, into the
+// caller's slices, and orders only the appended tail: a sorted chunk needs
+// nothing more, and an unsorted one is sorted in place by sortPairs, which
+// is linear when the slots are already ascending, as they are at an
+// append-heavy right edge. Callers that reuse the slices scan without
+// allocating.
+//
+// Under an optimistic reader the result is a candidate that the node's
+// sequence lock must validate, like any chunk read. Because the ordering
+// runs on the private copy, it terminates whatever a concurrent writer does
+// to the slots.
+func (c *Chunk[P]) AppendOrdered(keys []int64, vals []*P) ([]int64, []*P) {
 	s := c.snapshotSize()
-	if c.sorted {
-		for i := 0; i < s; i++ {
-			if !fn(c.keys[i].Load(), c.vals[i].Load()) {
-				return
-			}
-		}
-		return
+	kb, vb := len(keys), len(vals)
+	keys, vals = slices.Grow(keys, s), slices.Grow(vals, s)
+	for i := 0; i < s; i++ {
+		keys = append(keys, c.keys[i].Load())
+		vals = append(vals, c.vals[i].Load())
 	}
-	idx := make([]int, s)
-	for i := range idx {
-		idx[i] = i
+	if !c.sorted {
+		sortPairs(keys[kb:], vals[vb:])
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return c.keys[idx[a]].Load() < c.keys[idx[b]].Load()
-	})
-	for _, i := range idx {
-		if !fn(c.keys[i].Load(), c.vals[i].Load()) {
-			return
-		}
-	}
+	return keys, vals
 }
 
 // Keys returns a copy of the current keys (ascending for sorted chunks).

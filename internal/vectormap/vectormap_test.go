@@ -210,35 +210,86 @@ func TestMoveGreaterToBoundaryKey(t *testing.T) {
 }
 
 func TestSplitUpperHalfTo(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, sorted bool) {
-		c := newChunk(t, 4, sorted)
-		dst := newChunk(t, 4, sorted)
-		all := []int64{5, 3, 8, 1, 9, 7, 2, 6}
-		for _, k := range all {
-			c.Insert(k, val(k))
+	// Target 4 is the hand-checked case below; target 64 (capacity 128)
+	// exceeds the split's stack buffer and takes the heap-copy path.
+	for _, target := range []int{4, 64} {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			c := newChunk(t, target, sorted)
+			dst := newChunk(t, target, sorted)
+			all := []int64{5, 3, 8, 1, 9, 7, 2, 6}
+			if target > 4 {
+				all = all[:0]
+				for _, k := range rand.New(rand.NewSource(1)).Perm(2 * target) {
+					all = append(all, int64(k)*3)
+				}
+			}
+			for _, k := range all {
+				c.Insert(k, val(k))
+			}
+			pivot := c.SplitUpperHalfTo(dst)
+			if got := c.Size() + dst.Size(); got != len(all) {
+				t.Fatalf("elements lost in split: %d", got)
+			}
+			// Everything in dst >= pivot > everything in c.
+			if maxLeft, _ := c.MaxKey(); maxLeft >= pivot {
+				t.Fatalf("left max %d >= pivot %d", maxLeft, pivot)
+			}
+			if minRight, _ := dst.MinKey(); minRight != pivot {
+				t.Fatalf("right min %d != pivot %d", minRight, pivot)
+			}
+			// Sizes exactly balanced on a full chunk.
+			if c.Size() != target || dst.Size() != target {
+				t.Fatalf("unbalanced split: %d / %d", c.Size(), dst.Size())
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSplitKeepsSlotOrder pins the property that keeps ordered scans linear
+// at an append-heavy right edge: splitting an unsorted chunk whose slots
+// ascend leaves both halves' slots ascending.
+func TestSplitKeepsSlotOrder(t *testing.T) {
+	c := newChunk(t, 8, false)
+	dst := newChunk(t, 8, false)
+	for k := int64(0); k < 16; k++ {
+		c.Insert(k*2, val(k))
+	}
+	c.SplitUpperHalfTo(dst)
+	for _, h := range []*Chunk[int64]{c, dst} {
+		if ks := h.Keys(); !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
+			t.Fatalf("split reordered slots: %v", ks)
 		}
-		pivot := c.SplitUpperHalfTo(dst)
-		if got := c.Size() + dst.Size(); got != len(all) {
-			t.Fatalf("elements lost in split: %d", got)
+	}
+}
+
+// TestSplitUpperHalfToAllocs is the allocation gate of the unsorted split:
+// at the default capacity (T_D = 32, 64 slots) the ordered copy it takes
+// the median from stays on the stack.
+func TestSplitUpperHalfToAllocs(t *testing.T) {
+	var c, d Chunk[int64]
+	c.Init(32, false)
+	d.Init(32, false)
+	perm := rand.New(rand.NewSource(1)).Perm(c.Cap())
+	v := val(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, k := range perm {
+			c.Insert(int64(k), v)
 		}
-		// Everything in dst >= pivot > everything in c.
-		if maxLeft, _ := c.MaxKey(); maxLeft >= pivot {
-			t.Fatalf("left max %d >= pivot %d", maxLeft, pivot)
-		}
-		if minRight, _ := dst.MinKey(); minRight != pivot {
-			t.Fatalf("right min %d != pivot %d", minRight, pivot)
-		}
-		// Sizes roughly balanced.
-		if c.Size() != 4 || dst.Size() != 4 {
-			t.Fatalf("unbalanced split: %d / %d", c.Size(), dst.Size())
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		c.SplitUpperHalfTo(&d)
+		c.AbsorbFrom(&d)
+		for _, k := range perm {
+			c.Remove(int64(k))
 		}
 	})
+	if allocs != 0 {
+		t.Fatalf("SplitUpperHalfTo on a full default-capacity unsorted chunk allocates %.1f times, want 0", allocs)
+	}
 }
 
 func TestAbsorbFrom(t *testing.T) {
@@ -291,29 +342,74 @@ func TestAbsorbOverflowPanics(t *testing.T) {
 	c.AbsorbFrom(src)
 }
 
-func TestForEachOrdered(t *testing.T) {
+func TestAppendOrdered(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, sorted bool) {
 		c := newChunk(t, 8, sorted)
 		keys := []int64{9, 2, 7, 4, 1}
 		for _, k := range keys {
-			c.Insert(k, val(k))
+			c.Insert(k, val(k*10))
 		}
-		var got []int64
-		c.ForEachOrdered(func(k int64, v *int64) bool {
-			got = append(got, k)
-			return true
-		})
 		want := append([]int64(nil), keys...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			t.Fatalf("got %d keys, want %d", len(got), len(want))
+
+		// Appending after existing elements leaves them in place, orders
+		// only the appended tail, and keeps every value with its key.
+		prefixK := []int64{100, -5}
+		prefixV := []*int64{val(1), val(2)}
+		gotK, gotV := c.AppendOrdered(prefixK, prefixV)
+		if len(gotK) != 2+len(want) || len(gotV) != len(gotK) {
+			t.Fatalf("got %d keys / %d vals, want %d", len(gotK), len(gotV), 2+len(want))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("position %d: got %d want %d", i, got[i], want[i])
+		if gotK[0] != 100 || gotK[1] != -5 || *gotV[0] != 1 || *gotV[1] != 2 {
+			t.Fatalf("prefix disturbed: %v", gotK[:2])
+		}
+		for i, k := range want {
+			if gotK[2+i] != k || *gotV[2+i] != k*10 {
+				t.Fatalf("position %d: got %d→%d, want %d→%d", i, gotK[2+i], *gotV[2+i], k, k*10)
 			}
 		}
+		// An empty chunk appends nothing.
+		e := newChunk(t, 8, sorted)
+		if k, v := e.AppendOrdered(nil, nil); len(k) != 0 || len(v) != 0 {
+			t.Fatalf("empty chunk appended %v", k)
+		}
 	})
+}
+
+// TestSortPairs covers both arms of sortPairs: insertion sort within the
+// shift budget and the heapsort fallback past it, on ascending, descending,
+// random and duplicate-laden keys, with values travelling with their keys.
+func TestSortPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 63, 64, 500, 2048} {
+		inputs := map[string][]int64{
+			"ascending":  make([]int64, n),
+			"descending": make([]int64, n),
+			"random":     make([]int64, n),
+			"duplicates": make([]int64, n),
+		}
+		for i := 0; i < n; i++ {
+			inputs["ascending"][i] = int64(i)
+			inputs["descending"][i] = int64(n - i)
+			inputs["random"][i] = rng.Int63() - rng.Int63()
+			inputs["duplicates"][i] = int64(rng.Intn(5))
+		}
+		for name, keys := range inputs {
+			vals := make([]*int64, n)
+			for i, k := range keys {
+				vals[i] = val(k)
+			}
+			sortPairs(keys, vals)
+			for i := range keys {
+				if i > 0 && keys[i-1] > keys[i] {
+					t.Fatalf("%s/%d: out of order at %d", name, n, i)
+				}
+				if *vals[i] != keys[i] {
+					t.Fatalf("%s/%d: value %d travelled away from key %d", name, n, *vals[i], keys[i])
+				}
+			}
+		}
+	}
 }
 
 func TestForEachEarlyStop(t *testing.T) {
