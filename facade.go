@@ -130,7 +130,8 @@ func (s *scans[V]) Len() int { return s.b.Len() }
 func (s *scans[V]) Keys() []int64 { return s.b.Keys() }
 
 // RangeQuery calls fn for every mapping with lo ≤ key ≤ hi in ascending key
-// order. fn returning false stops early; fn must not call back into the map.
+// order. fn returning false stops early; fn must not call back into the map,
+// because a scan that falls back to two-phase locking runs fn with locks held.
 // On a Map or DurableMap the scan is one linearizable operation (reads never
 // touch a DurableMap's log). A ShardedMap stitches the window shard by shard:
 // each per-shard segment is linearizable, but a window crossing a boundary is
@@ -150,8 +151,9 @@ func (s *scans[V]) Min() (int64, V, bool) { return unwrap[V](s.b.First()) }
 func (s *scans[V]) Max() (int64, V, bool) { return unwrap[V](s.b.Last()) }
 
 // Cursor returns a stateful forward iterator positioned before the first
-// key ≥ start. Unlike Ascend/RangeQuery — which hold node locks for the
-// duration of the scan — a cursor holds no locks between Next calls: each
+// key ≥ start. Unlike Ascend/RangeQuery — which read their whole window as
+// one operation, under node locks when optimistic validation keeps failing
+// — a cursor holds no locks between Next calls: each
 // step is an independent linearizable successor query (Ceiling), so it can
 // be long-lived, interleaved with arbitrary mutations, and crosses shard
 // boundaries transparently. Keys inserted behind the cursor are not

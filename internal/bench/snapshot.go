@@ -22,9 +22,10 @@ const (
 	// global write counter and throw the scan away if anything changed.
 	// Under sustained writes it almost never validates.
 	scanOptimistic
-	// scanLocked reads through the 2PL range machinery (Ascend): consistent
-	// and restart-free, but it holds every data lock for the whole scan and
-	// stalls the writers.
+	// scanLocked reads through the live map's Ascend. A full-map window is
+	// longer than the optimistic range read accepts, so Ascend takes its
+	// 2PL fallback: consistent and restart-free, but it holds every data
+	// lock for the whole scan and stalls the writers.
 	scanLocked
 )
 

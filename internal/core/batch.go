@@ -82,7 +82,8 @@ type BatchResult struct {
 // batchScratch holds ApplyBatch's working buffers. Contexts are pooled, so
 // the buffers amortize to zero allocations per batch; release drops the
 // pointer-bearing entries so a pooled context never pins user values or
-// retired nodes.
+// retired nodes, and drops any buffer grown past maxPooledPairs so one huge
+// batch does not leave its scratch in the pool (rangeops.go).
 type batchScratch[V any] struct {
 	order   []int
 	tall    []bool
@@ -95,6 +96,14 @@ type batchScratch[V any] struct {
 }
 
 func (sc *batchScratch[V]) release() {
+	sc.order = pooled(sc.order, maxPooledPairs)
+	sc.tall = pooled(sc.tall, maxPooledPairs)
+	sc.heights = pooled(sc.heights, maxPooledPairs)
+	sc.slots = pooled(sc.slots, maxPooledPairs)
+	sc.outs = pooled(sc.outs, maxPooledPairs)
+	sc.segs = pooled(sc.segs, maxPooledPairs)
+	sc.segMins = pooled(sc.segMins, maxPooledPairs)
+	sc.commits = pooled(sc.commits, maxPooledPairs)
 	clear(sc.slots[:cap(sc.slots)])
 	clear(sc.segs[:cap(sc.segs)])
 	clear(sc.commits[:cap(sc.commits)])

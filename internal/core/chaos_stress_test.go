@@ -194,9 +194,11 @@ func TestChaosStressSharedKeys(t *testing.T) {
 	}
 }
 
-// TestChaosStressRangeOps runs serializable range queries and updates
-// against chaos-perturbed point mutations: forced upgrade failures hit
-// lockedRange's acquisition loop and yields stretch its locked window.
+// TestChaosStressRangeOps runs serializable range queries against
+// chaos-perturbed point mutations: forced validation failures make the
+// optimistic window read restart and fall back to 2PL, forced upgrade
+// failures hit lockedRange's acquisition loop, and yields stretch both the
+// unlocked read and the locked window.
 func TestChaosStressRangeOps(t *testing.T) {
 	cfg := testConfigs()["tiny-chunks"]
 	const keySpace = 192
@@ -256,6 +258,11 @@ func TestChaosStressRangeOps(t *testing.T) {
 	t.Logf("%v", rep)
 	if t.Failed() {
 		return
+	}
+	if r := m.Stats().RestartsRange; r == 0 {
+		t.Error("injected failures caused no range restart")
+	} else {
+		t.Logf("range restarts: %d", r)
 	}
 	mustCheck(t, m)
 }

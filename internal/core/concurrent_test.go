@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"skipvector/internal/chaos"
 )
 
 // stressConfigs are the configurations worth hammering concurrently: tiny
@@ -269,6 +271,70 @@ func TestConcurrentRangeQueryConsistency(t *testing.T) {
 	readers.Wait()
 	stop.Store(true)
 	mutators.Wait()
+	mustCheck(t, m)
+}
+
+// TestConcurrentRangeQueryAtomicity checks that a RangeQuery reads its whole
+// window at one instant. Updaters increment every key at once with
+// RangeUpdate, so every state the map passes through holds a single value
+// throughout, and every window a reader delivers must hold a single value
+// too. A read that validated each node only as it passed it (and not the
+// whole window at the end) would mix values from before and after an
+// update whose locks it waited out. Injected yields at the seqlock reads
+// and validations stretch the reads so that such updates happen.
+func TestConcurrentRangeQueryAtomicity(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TargetDataVectorSize = 2
+	m := newTestMap(t, cfg)
+	const keySpace = 128
+	for k := int64(0); k < keySpace; k++ {
+		m.Insert(k, v64(0))
+	}
+	chaos.Enable(chaos.Config{Seed: 0x5ca1, YieldOneIn: 8, Sites: chaos.MaskOf(chaos.SeqlockRead, chaos.SeqlockValidate)})
+	defer chaos.Disable()
+	var stop atomic.Bool
+	var updaters, readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		updaters.Add(1)
+		go func() {
+			defer updaters.Done()
+			for !stop.Load() {
+				m.RangeUpdate(0, keySpace-1, func(_ int64, v *int64) *int64 {
+					nv := *v + 1
+					return &nv
+				})
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 1000 && !t.Failed(); i++ {
+				lo := int64(rng.Intn(keySpace))
+				hi := lo + int64(rng.Intn(keySpace))
+				var first int64
+				n := 0
+				m.RangeQuery(lo, hi, func(k int64, v *int64) bool {
+					if n == 0 {
+						first = *v
+					} else if *v != first {
+						t.Errorf("window [%d,%d]: key %d holds %d, an earlier key %d", lo, hi, k, *v, first)
+						return false
+					}
+					n++
+					return true
+				})
+				if want := min(hi, keySpace-1) - lo + 1; n != int(want) && !t.Failed() {
+					t.Errorf("window [%d,%d]: %d keys, want %d", lo, hi, n, want)
+				}
+			}
+		}(int64(g) + 7)
+	}
+	readers.Wait()
+	stop.Store(true)
+	updaters.Wait()
 	mustCheck(t, m)
 }
 

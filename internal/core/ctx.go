@@ -120,7 +120,7 @@ const (
 	opInsert
 	opRemove
 	opNav   // Floor/Ceiling (and First/Last through them)
-	opRange // RangeQuery/RangeUpdate window establishment
+	opRange // RangeQuery's optimistic window reads; 2PL window establishment
 	opBatch // ApplyBatch group commits (singleton-routed batch ops charge their native kinds)
 	opSnap  // snapshot point-read descents (snapshot scans have no restart path)
 	numOpKinds

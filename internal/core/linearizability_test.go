@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"skipvector/internal/chaos"
 	"skipvector/internal/lincheck"
 )
 
@@ -83,7 +84,10 @@ func TestLinearizability(t *testing.T) {
 // range operations, machine-checking the linearizable-range claim
 // (Section IV-C / V-B): every RangeQuery snapshot must equal some
 // linearization point's state restricted to its window, and every
-// RangeUpdate must apply its delta to the whole window atomically.
+// RangeUpdate must apply its delta to the whole window atomically. Odd
+// rounds inject seqlock validation failures, which make RangeQuery's
+// optimistic read restart and often exhaust its attempts, so both the
+// optimistic path and the 2PL fallback are checked.
 func TestLinearizabilityWithRangeOps(t *testing.T) {
 	cfg := testConfigs()["tiny-chunks"]
 	const (
@@ -92,9 +96,14 @@ func TestLinearizabilityWithRangeOps(t *testing.T) {
 		opsEach  = 4
 		keySpace = 4
 	)
+	var faultRestarts int64
 	for round := 0; round < rounds; round++ {
 		m := newTestMap(t, cfg)
 		rec := lincheck.NewRecorder()
+		faults := round%2 == 1
+		if faults {
+			chaos.Enable(chaos.Config{Seed: uint64(round), FailOneIn: 6, Sites: chaos.MaskOf(chaos.SeqlockValidate)})
+		}
 		var wg sync.WaitGroup
 		for p := 0; p < procs; p++ {
 			wg.Add(1)
@@ -147,10 +156,18 @@ func TestLinearizabilityWithRangeOps(t *testing.T) {
 			}(p, int64(round*31+p))
 		}
 		wg.Wait()
+		if faults {
+			chaos.Disable()
+			faultRestarts += m.Stats().RestartsRange
+		}
 		if ok, msg := lincheck.Check(rec.History()); !ok {
 			t.Fatalf("round %d: %s\n%s", round, msg, m.Dump())
 		}
 		mustCheck(t, m)
+	}
+	t.Logf("range restarts under injected validation failures: %d", faultRestarts)
+	if faultRestarts == 0 {
+		t.Fatal("injected validation failures caused no range restart")
 	}
 }
 

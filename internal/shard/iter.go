@@ -6,10 +6,11 @@ package shard
 // strictly below shard i+1's, concatenating the per-shard segments yields the
 // whole window in key order with no merge step.
 //
-// Each per-shard segment runs under that shard's strict-2PL range protocol
-// and is individually linearizable; the stitched whole is NOT one atomic
-// operation — a writer can commit into shard i+1 after the segment over shard
-// i completed and still be observed. Callers needing an atomic range must
+// Each per-shard segment runs under that shard's range protocol (for
+// RangeQuery an optimistic validated read with strict 2PL as its fallback,
+// for RangeUpdate strict 2PL) and is individually linearizable; the
+// stitched whole is NOT one atomic operation — a writer can commit into
+// shard i+1 after the segment over shard i completed and still be observed. Callers needing an atomic range must
 // keep it inside one shard (or use a single-shard map).
 //
 // The boundary table is reloaded at every segment boundary, so a scan that

@@ -24,8 +24,12 @@
 //
 // The map follows the paper's set-style semantics: Insert fails (returns
 // false) when the key is already present; use Upsert for overwrite
-// semantics. Range operations are linearizable (serializable two-phase
-// locking over the affected chunks), including the mutating RangeUpdate.
+// semantics. Range operations are linearizable, including the mutating
+// RangeUpdate, which runs under two-phase locking over the affected chunks.
+// A read-only RangeQuery or Ascend validates optimistically instead: it
+// copies its window, checks that no chunk in it changed, and runs its
+// callback with no lock held, falling back to two-phase locking when
+// validation keeps failing or the window is very long.
 package skipvector
 
 import (
@@ -199,8 +203,10 @@ const (
 //
 // Snapshot reads never block writers, and snapshot scans (Range, Ascend,
 // Cursor) never restart no matter how much concurrent churn the live map
-// sees — unlike the live map's RangeQuery/Ascend, which hold chunk locks, a
-// snapshot scan is lock-free and can safely run for as long as it likes.
+// sees — unlike the live map's RangeQuery/Ascend, which must validate their
+// whole window at once and lock it when that keeps failing (as it does for
+// long windows under writes), a snapshot scan is lock-free and can safely
+// run for as long as it likes.
 //
 // Close must be called when done: a pinned snapshot retains the pre-image
 // records and retired chunks it might still read. A snapshot that becomes
